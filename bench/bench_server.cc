@@ -113,7 +113,7 @@ void ClientLoop(const BenchConfig& cfg, uint16_t port, int id,
       st = c.Search(1, BtreeExtension::MakeRange(k, k + 9)).status();
     } else {
       st = c.Insert(1, BtreeExtension::MakeKey(k),
-                    "v" + std::to_string(k))
+                    std::string("v").append(std::to_string(k)))
                .status();
     }
     const uint64_t dt = NowNs() - t0;
@@ -380,7 +380,7 @@ void ObsClientLoop(const BenchConfig& cfg, uint16_t port, int id,
       st = c.Search(1, BtreeExtension::MakeRange(k, k + 9)).status();
     } else {
       st = c.Insert(1, BtreeExtension::MakeKey(k),
-                    "v" + std::to_string(k))
+                    std::string("v").append(std::to_string(k)))
                .status();
     }
     if (st.ok()) {

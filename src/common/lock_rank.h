@@ -30,6 +30,7 @@ enum class LockRank : uint16_t {
   kDbMaintenance = 150,
   kDbRecovery = 155,
   kDbWriter = 160,
+  kDbCheckpoint = 165,
   kDbIndexes = 170,
 
   // Tree-level serialization: at most one GC pass per index, then the

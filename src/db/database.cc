@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <unistd.h>
+
 #include "db/meta_page.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -564,22 +566,25 @@ Status Database::DeleteRecord(Transaction* txn, Gist* index, Slice key,
 }
 
 Status Database::Checkpoint() {
-  auto lsn_or = recovery_->Checkpoint();
-  GISTCR_RETURN_IF_ERROR(lsn_or.status());
+  // One checkpoint at a time: the master pointer goes through a single
+  // temporary file, and the log reclaimed below is only dead once the
+  // pointer names this checkpoint rather than an older one.
+  MutexLock l(checkpoint_mu_);
+  auto ckpt_or = recovery_->Checkpoint();
+  GISTCR_RETURN_IF_ERROR(ckpt_or.status());
+  const RecoveryManager::CheckpointLsns ckpt = ckpt_or.value();
   // Checkpoint record durable but the master pointer still names the
   // previous one: restart must work from the older (valid) checkpoint.
   GISTCR_CRASHPOINT("ckpt.before_master_update");
-  GISTCR_RETURN_IF_ERROR(WriteMasterPointer(lsn_or.value()));
+  if (ckpt.lsn <= master_lsn_) return Status::OK();
+  GISTCR_RETURN_IF_ERROR(WriteMasterPointer(ckpt.lsn));
+  master_lsn_ = ckpt.lsn;
   // With the master pointer durable, everything below the redo/undo
   // horizon is dead weight: reclaim its disk space. The horizon is the
-  // minimum of the checkpoint LSN, every dirty page's rec_lsn, and every
-  // active transaction's first LSN (its undo backchain must stay
-  // readable).
-  Lsn keep = lsn_or.value();
-  for (const auto& [pid, rec_lsn] : pool_->DirtyPageTable()) {
-    (void)pid;
-    if (rec_lsn != kInvalidLsn && rec_lsn < keep) keep = rec_lsn;
-  }
+  // minimum of where a restart from this checkpoint starts reading (its
+  // begin LSN and dirty-page recLSNs) and every active transaction's
+  // first LSN (its undo backchain must stay readable).
+  Lsn keep = ckpt.redo_lsn;
   const Lsn oldest = txns_->OldestActiveFirstLsn();
   if (oldest != kInvalidLsn && oldest < keep) keep = oldest;
   // Instant restart: un-replayed page plans still read the log; never
@@ -609,6 +614,8 @@ void Database::SimulateCrash() {
 }
 
 Status Database::ReadMasterPointer(Lsn* lsn) {
+  // Called once by Open, before any checkpoint can run.
+  MutexLock l(checkpoint_mu_);
   *lsn = kInvalidLsn;
   FILE* f = std::fopen((opts_.path + ".ckpt").c_str(), "r");
   if (f == nullptr) return Status::OK();  // no checkpoint yet
@@ -616,6 +623,7 @@ Status Database::ReadMasterPointer(Lsn* lsn) {
   const int n = std::fscanf(f, "%llu", &v);
   std::fclose(f);
   if (n == 1) *lsn = static_cast<Lsn>(v);
+  master_lsn_ = *lsn;
   return Status::OK();
 }
 
@@ -624,8 +632,11 @@ Status Database::WriteMasterPointer(Lsn lsn) {
   FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return Status::IOError("open master pointer");
   std::fprintf(f, "%llu\n", static_cast<unsigned long long>(lsn));
-  std::fflush(f);
+  // Durable contents before the rename publishes them: a crash must never
+  // leave the pointer naming an empty or torn file.
+  const bool written = std::fflush(f) == 0 && ::fdatasync(fileno(f)) == 0;
   std::fclose(f);
+  if (!written) return Status::IOError("write master pointer");
   if (std::rename(tmp.c_str(), (opts_.path + ".ckpt").c_str()) != 0) {
     return Status::IOError("rename master pointer");
   }

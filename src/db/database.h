@@ -211,8 +211,8 @@ class Database {
   explicit Database(const DatabaseOptions& opts);
 
   Status InitCommon();
-  Status ReadMasterPointer(Lsn* lsn);
-  Status WriteMasterPointer(Lsn lsn);
+  Status ReadMasterPointer(Lsn* lsn) GISTCR_EXCLUDES(checkpoint_mu_);
+  Status WriteMasterPointer(Lsn lsn) GISTCR_REQUIRES(checkpoint_mu_);
   GistContext MakeContext();
 
   /// Refreshes derived gauges (bp.hit_rate) so dumps are self-contained.
@@ -253,6 +253,12 @@ class Database {
   Mutex maint_mu_{GISTCR_LOCK_RANK(kDbMaintenance, "db.maint.mu")};
   CondVar maint_cv_;
   bool maint_stop_ GISTCR_GUARDED_BY(maint_mu_) = false;
+
+  /// Serializes Checkpoint(): held from collecting the checkpoint through
+  /// the master-pointer rename and the log reclamation that depends on it.
+  Mutex checkpoint_mu_{GISTCR_LOCK_RANK(kDbCheckpoint, "db.checkpoint.mu")};
+  /// Checkpoint LSN the master pointer names; it only moves forward.
+  Lsn master_lsn_ GISTCR_GUARDED_BY(checkpoint_mu_) = kInvalidLsn;
 
   std::thread writer_thread_;
   Mutex writer_mu_{GISTCR_LOCK_RANK(kDbWriter, "db.writer.mu")};

@@ -248,17 +248,6 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   PageGuard parent;
   GISTCR_RETURN_IF_ERROR(
       LatchParentForChild(txn, stack, ancestors - 1, orig_pid, &parent));
-  // Allocate the right sibling.
-  auto new_pid_or = ctx_.alloc->Allocate(txn);
-  GISTCR_RETURN_IF_ERROR(new_pid_or.status());
-  const PageId new_pid = new_pid_or.value();
-  // Fresh-page materialization (no disk read, never contended) under the
-  // split latches — the NTA must install the sibling atomically.
-  // gistcr-lint: allow(io-under-latch)
-  auto frame_or = ctx_.pool->NewPage(new_pid);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard ng(ctx_.pool, frame_or.value());
-  ng.WLatch();
 
   // Distribute entries.
   std::vector<IndexEntry> entries = node.GetAllEntries(true);
@@ -268,7 +257,6 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   GISTCR_CHECK(to_right.size() == entries.size());
   SplitPayload pl;
   pl.orig_page = orig_pid;
-  pl.new_page = new_pid;
   pl.level = node.level();
   pl.old_nsn = node.nsn();
   pl.old_rightlink = node.rightlink();
@@ -284,6 +272,52 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   pl.orig_bp_before = node.bp().ToString();
   pl.orig_bp_after = ext_->UnionAll(kept, Slice());
   pl.new_bp = ext_->UnionAll(pl.moved, Slice());
+
+  // Make room for the new sibling's parent entry BEFORE the split assigns
+  // its NSN, and keep the parent that holds our entry X-latched from here
+  // to the install. Splitting the parent afterwards would release its new
+  // sibling between that split and the chase below; a reader copying it
+  // then memorizes a counter >= our NSN yet finds no entry for our new
+  // sibling, and the strict `nsn > memorized` test hides the split — the
+  // sibling's entries are lost to that search (the root-grow race of
+  // GrowRoot, one level down).
+  IndexEntry parent_entry;
+  parent_entry.key = pl.new_bp;
+  for (;;) {
+    NodeView pn(parent.view().data());
+    if (!NodeIsFull(pn, parent_entry)) break;
+    const size_t parent_ancestors = ancestors - 1;
+    GISTCR_RETURN_IF_ERROR(
+        SplitNodeInNta(txn, &parent, stack, parent_ancestors));
+    // Our entry may have moved to the parent's new sibling; chase.
+    for (;;) {
+      NodeView cur(parent.view().data());
+      if (cur.FindByValue(orig_pid) >= 0) break;
+      const PageId rl = cur.rightlink();
+      GISTCR_CHECK(rl != kInvalidPageId);
+      PageGuard next;
+      // Parent-level rightward chase (split parent moved the child's
+      // entry): left-to-right latch coupling, deadlock-free.
+      // gistcr-lint: allow(io-under-latch)
+      GISTCR_RETURN_IF_ERROR(FetchLatched(rl, /*exclusive=*/true, &next));
+      parent.Drop();
+      parent = std::move(next);
+    }
+  }
+
+  // Allocate the right sibling.
+  auto new_pid_or = ctx_.alloc->Allocate(txn);
+  GISTCR_RETURN_IF_ERROR(new_pid_or.status());
+  const PageId new_pid = new_pid_or.value();
+  // Fresh-page materialization (no disk read, never contended) under the
+  // split latches — the NTA must install the sibling atomically.
+  // gistcr-lint: allow(io-under-latch)
+  auto frame_or = ctx_.pool->NewPage(new_pid);
+  GISTCR_RETURN_IF_ERROR(frame_or.status());
+  PageGuard ng(ctx_.pool, frame_or.value());
+  ng.WLatch();
+  pl.new_page = new_pid;
+  parent_entry.value = new_pid;
 
   // NSN: dedicated counter bumps before logging; LSN mode uses the split
   // record's own LSN (encoded as 0; redo substitutes rec.lsn).
@@ -340,38 +374,12 @@ Status Gist::SplitNodeInNta(Transaction* txn, PageGuard* g,
   ctx_.locks->ReplicateSharedHolders(LockName{LockSpace::kNode, orig_pid},
                                      LockName{LockSpace::kNode, new_pid});
 
-  // Install the new sibling's parent entry and refresh the original's.
-  IndexEntry parent_entry;
-  parent_entry.key = pl.new_bp;
-  parent_entry.value = new_pid;
-
   // Both halves written and chained; the parent has no entry for the new
   // sibling yet (reachable only via the rightlink — the B-link invariant
   // recovery relies on).
   GISTCR_CRASHPOINT("split.before_parent_install");
 
-  for (;;) {
-    NodeView pn(parent.view().data());
-    if (!NodeIsFull(pn, parent_entry)) break;
-    const size_t parent_ancestors = ancestors - 1;
-    GISTCR_RETURN_IF_ERROR(
-        SplitNodeInNta(txn, &parent, stack, parent_ancestors));
-    // Our child's entry may have moved to the parent's new sibling; chase.
-    for (;;) {
-      NodeView cur(parent.view().data());
-      if (cur.FindByValue(orig_pid) >= 0) break;
-      const PageId rl = cur.rightlink();
-      GISTCR_CHECK(rl != kInvalidPageId);
-      PageGuard next;
-      // Parent-level rightward chase (split parent moved the child's
-      // entry): left-to-right latch coupling, deadlock-free.
-      // gistcr-lint: allow(io-under-latch)
-      GISTCR_RETURN_IF_ERROR(FetchLatched(rl, /*exclusive=*/true, &next));
-      parent.Drop();
-      parent = std::move(next);
-    }
-  }
-
+  // Install the new sibling's parent entry and refresh the original's.
   {
     NodeView pn(parent.view().data());
     LogRecord add;

@@ -155,12 +155,22 @@ void RecoveryManager::AttachMetrics(obs::MetricsRegistry* reg) {
 // Checkpointing
 // ---------------------------------------------------------------------
 
-StatusOr<Lsn> RecoveryManager::Checkpoint() {
+StatusOr<RecoveryManager::CheckpointLsns> RecoveryManager::Checkpoint() {
   GISTCR_TRACE_SCOPE("recovery.checkpoint");
   const uint64_t t0 = obs::NowNanos();
   CheckpointPayload pl;
-  for (auto& [id, last] : txns_->ActiveTxns()) {
+  // Begin-checkpoint LSN, read before anything is collected: a record
+  // appended from here on lies above it, so restart analysis starting at
+  // it cannot miss the first record of a transaction (or the update of a
+  // page) that the tables below were collected too early to show. An
+  // append already in flight lowers it to the tail that append saw.
+  pl.begin_lsn = log_->end_lsn();
+  Lsn append_floor = kInvalidLsn;
+  for (auto& [id, last] : txns_->ActiveTxns(&append_floor)) {
     pl.active_txns.push_back({id, last});
+  }
+  if (append_floor != kInvalidLsn) {
+    pl.begin_lsn = std::min(pl.begin_lsn, append_floor);
   }
   // DPT = buffer-pool dirt plus any page whose instant-restart plan has
   // not been replayed yet: such a page's disk image predates its plan
@@ -178,12 +188,16 @@ StatusOr<Lsn> RecoveryManager::Checkpoint() {
       it->second = rec;
     }
   }
+  CheckpointLsns out;
+  out.redo_lsn = pl.begin_lsn;
   for (auto& [pid, rec] : dirty) {
     pl.dirty_pages.push_back({pid, rec});
+    if (rec != kInvalidLsn) out.redo_lsn = std::min(out.redo_lsn, rec);
   }
   pl.next_txn_id = txns_->NextTxnIdForCheckpoint();
   pl.nsn_counter = nsn_->CounterValue();
   pl.heap_tail = data_->tail();
+  if (checkpoint_collect_hook_) checkpoint_collect_hook_();
   LogRecord rec;
   rec.type = LogRecordType::kCheckpoint;
   pl.EncodeTo(&rec.payload);
@@ -191,44 +205,72 @@ StatusOr<Lsn> RecoveryManager::Checkpoint() {
   GISTCR_RETURN_IF_ERROR(log_->Flush(rec.lsn));
   m_checkpoint_ns_->Record(obs::NowNanos() - t0);
   m_checkpoints_->Add(1);
-  return rec.lsn;
+  out.lsn = rec.lsn;
+  return out;
 }
 
 // ---------------------------------------------------------------------
 // Restart
 // ---------------------------------------------------------------------
 
+Status RecoveryManager::LoadCheckpoint(Lsn checkpoint_lsn,
+                                       CheckpointStart* out) {
+  if (checkpoint_lsn == kInvalidLsn) return Status::OK();
+  LogRecord ckpt;
+  GISTCR_RETURN_IF_ERROR(log_->ReadRecord(checkpoint_lsn, &ckpt));
+  if (ckpt.type != LogRecordType::kCheckpoint) {
+    return Corrupt("master pointer does not reference a checkpoint");
+  }
+  CheckpointPayload pl;
+  if (!pl.DecodeFrom(ckpt.payload)) return Corrupt("bad checkpoint");
+  for (const auto& t : pl.active_txns) {
+    out->att[t.txn_id] = t.last_lsn;
+    out->max_txn = std::max(out->max_txn, t.txn_id);
+  }
+  // Checkpoints written before the begin LSN existed: the record itself.
+  out->analysis_start =
+      pl.begin_lsn != kInvalidLsn ? pl.begin_lsn : checkpoint_lsn;
+  out->redo_start = out->analysis_start;
+  for (const auto& d : pl.dirty_pages) {
+    if (d.rec_lsn != kInvalidLsn) {
+      out->redo_start = std::min(out->redo_start, d.rec_lsn);
+    }
+  }
+  nsn_->EnsureAtLeast(pl.nsn_counter);
+  out->max_txn = std::max(out->max_txn, pl.next_txn_id - 1);
+  out->heap_tail = pl.heap_tail;
+  return Status::OK();
+}
+
+Status RecoveryManager::DropCommittedBelow(Lsn scanned_from,
+                                           std::map<TxnId, Lsn>* att) {
+  for (auto it = att->begin(); it != att->end();) {
+    if (it->second < scanned_from) {
+      LogRecord rec;
+      GISTCR_RETURN_IF_ERROR(log_->ReadRecord(it->second, &rec));
+      if (rec.type == LogRecordType::kCommit ||
+          rec.type == LogRecordType::kEnd) {
+        it = att->erase(it);
+        continue;
+      }
+    }
+    ++it;
+  }
+  return Status::OK();
+}
+
 Status RecoveryManager::Restart(Lsn checkpoint_lsn) {
   GISTCR_TRACE_SCOPE("recovery.restart");
   // --- Analysis ---------------------------------------------------------
   uint64_t phase_t0 = obs::NowNanos();
-  std::map<TxnId, Lsn> att;  // loser candidates -> last_lsn
-  Lsn redo_start = checkpoint_lsn == kInvalidLsn ? LogManager::kFirstLsn
-                                                 : checkpoint_lsn;
-  TxnId max_txn = 0;
-
-  if (checkpoint_lsn != kInvalidLsn) {
-    LogRecord ckpt;
-    GISTCR_RETURN_IF_ERROR(log_->ReadRecord(checkpoint_lsn, &ckpt));
-    if (ckpt.type != LogRecordType::kCheckpoint) {
-      return Corrupt("master pointer does not reference a checkpoint");
-    }
-    CheckpointPayload pl;
-    if (!pl.DecodeFrom(ckpt.payload)) return Corrupt("bad checkpoint");
-    for (const auto& t : pl.active_txns) {
-      att[t.txn_id] = t.last_lsn;
-      max_txn = std::max(max_txn, t.txn_id);
-    }
-    for (const auto& d : pl.dirty_pages) {
-      if (d.rec_lsn != kInvalidLsn) redo_start = std::min(redo_start, d.rec_lsn);
-    }
-    nsn_->EnsureAtLeast(pl.nsn_counter);
-    max_txn = std::max(max_txn, pl.next_txn_id - 1);
-  }
+  CheckpointStart start;
+  GISTCR_RETURN_IF_ERROR(LoadCheckpoint(checkpoint_lsn, &start));
+  std::map<TxnId, Lsn>& att = start.att;
+  const Lsn redo_start = start.redo_start;
+  TxnId max_txn = start.max_txn;
 
   Status scan_st = log_->Scan(
-      checkpoint_lsn == kInvalidLsn ? LogManager::kFirstLsn : checkpoint_lsn,
-      [&](const LogRecord& rec) {
+      start.analysis_start, [&](const LogRecord& rec) {
         stats_.records_analyzed++;
         m_analyzed_->Add(1);
         if (rec.txn_id != kInvalidTxnId) {
@@ -252,6 +294,7 @@ Status RecoveryManager::Restart(Lsn checkpoint_lsn) {
         return true;
       });
   GISTCR_RETURN_IF_ERROR(scan_st);
+  GISTCR_RETURN_IF_ERROR(DropCommittedBelow(start.analysis_start, &att));
   txns_->SetNextTxnId(max_txn + 1);
   m_analysis_ns_->Record(obs::NowNanos() - phase_t0);
   // ATT/DPT reconstructed, no page touched yet: a crash here makes the
@@ -297,36 +340,15 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
   const uint64_t t0 = obs::NowNanos();
 
   // --- Analysis (log-only; no page is touched in this whole function) ---
-  std::map<TxnId, Lsn> att;
-  Lsn redo_start = checkpoint_lsn == kInvalidLsn ? LogManager::kFirstLsn
-                                                 : checkpoint_lsn;
-  TxnId max_txn = 0;
-  PageId heap_tail = kInvalidPageId;
-
-  if (checkpoint_lsn != kInvalidLsn) {
-    LogRecord ckpt;
-    GISTCR_RETURN_IF_ERROR(log_->ReadRecord(checkpoint_lsn, &ckpt));
-    if (ckpt.type != LogRecordType::kCheckpoint) {
-      return Corrupt("master pointer does not reference a checkpoint");
-    }
-    CheckpointPayload pl;
-    if (!pl.DecodeFrom(ckpt.payload)) return Corrupt("bad checkpoint");
-    for (const auto& t : pl.active_txns) {
-      att[t.txn_id] = t.last_lsn;
-      max_txn = std::max(max_txn, t.txn_id);
-    }
-    for (const auto& d : pl.dirty_pages) {
-      if (d.rec_lsn != kInvalidLsn) {
-        redo_start = std::min(redo_start, d.rec_lsn);
-      }
-    }
-    nsn_->EnsureAtLeast(pl.nsn_counter);
-    max_txn = std::max(max_txn, pl.next_txn_id - 1);
-    heap_tail = pl.heap_tail;
-  }
+  CheckpointStart start;
+  GISTCR_RETURN_IF_ERROR(LoadCheckpoint(checkpoint_lsn, &start));
+  std::map<TxnId, Lsn>& att = start.att;
+  const Lsn redo_start = start.redo_start;
+  TxnId max_txn = start.max_txn;
+  const PageId heap_tail = start.heap_tail;
 
   // One bounded scan over [redo_start, end-of-log] builds everything at
-  // once: the ATT (scanning [redo_start, checkpoint) too is harmless —
+  // once: the ATT (scanning [redo_start, begin LSN) too is harmless —
   // every transaction there either reaches its Commit/End in the scan or
   // is in the checkpoint's ATT anyway), the NSN floor, the per-page redo
   // plans, and the heap-chain links for the tail hint.
@@ -474,6 +496,7 @@ Status RecoveryManager::StartInstant(Lsn checkpoint_lsn) {
     return true;
   });
   GISTCR_RETURN_IF_ERROR(scan_st);
+  GISTCR_RETURN_IF_ERROR(DropCommittedBelow(redo_start, &att));
   txns_->SetNextTxnId(max_txn + 1);
   GISTCR_CRASHPOINT("recovery.after_analysis");
 

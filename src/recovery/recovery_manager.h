@@ -2,6 +2,7 @@
 #define GISTCR_RECOVERY_RECOVERY_MANAGER_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -92,9 +93,27 @@ class RecoveryManager : public UndoApplier {
   /// the concurrent undo (DataStore::Open stops short of them).
   const std::vector<PageId>& DoomedHeapPages() const { return doomed_heap_; }
 
-  /// Writes a fuzzy checkpoint record (ATT + DPT + NSN counter + heap
-  /// tail) and forces it. Returns its LSN for the master pointer.
-  StatusOr<Lsn> Checkpoint();
+  /// LSNs of a completed checkpoint.
+  struct CheckpointLsns {
+    Lsn lsn = kInvalidLsn;       ///< the checkpoint record (master pointer)
+    /// Lowest LSN a restart from this checkpoint reads: min(begin LSN, DPT
+    /// recLSNs). The log below it is reclaimable once the master pointer
+    /// names this checkpoint (active backchains aside).
+    Lsn redo_lsn = kInvalidLsn;
+  };
+
+  /// Writes a fuzzy checkpoint record (begin LSN + ATT + DPT + NSN counter
+  /// + heap tail) and forces it. The begin LSN is taken before the tables
+  /// are collected, so restart analysis starting there sees every record
+  /// appended while they were (DESIGN.md section 8).
+  StatusOr<CheckpointLsns> Checkpoint();
+
+  /// Test seam: runs between collecting the checkpoint tables and
+  /// appending the checkpoint record (null: none). Not thread-safe; set it
+  /// while no checkpoint runs.
+  void SetCheckpointCollectHookForTest(std::function<void()> hook) {
+    checkpoint_collect_hook_ = std::move(hook);
+  }
 
   /// Page-oriented redo of one record (public for targeted tests).
   Status RedoRecord(const LogRecord& rec);
@@ -145,6 +164,24 @@ class RecoveryManager : public UndoApplier {
   /// it to \p pid. The page-LSN test skips whatever already reached disk.
   Status ReplayPagePlan(PageId pid, const std::vector<Lsn>& plan);
 
+  /// What restart takes from the master checkpoint (defaults: no
+  /// checkpoint, read the whole log).
+  struct CheckpointStart {
+    std::map<TxnId, Lsn> att;  ///< loser candidates -> last_lsn
+    Lsn analysis_start = LogManager::kFirstLsn;  ///< begin-checkpoint LSN
+    Lsn redo_start = LogManager::kFirstLsn;  ///< min(analysis, DPT recLSNs)
+    TxnId max_txn = 0;
+    PageId heap_tail = kInvalidPageId;
+  };
+  Status LoadCheckpoint(Lsn checkpoint_lsn, CheckpointStart* out);
+
+  /// A checkpoint can list a transaction whose Commit record was appended
+  /// (it was still waiting on the force) but whose End was not. That
+  /// Commit precedes the durable checkpoint record, so it is durable too;
+  /// when the analysis scan began above it, read it here so the committed
+  /// transaction is not undone as a loser.
+  Status DropCommittedBelow(Lsn scanned_from, std::map<TxnId, Lsn>* att);
+
   Status Corrupt(const char* what) {
     return Status::Corruption(std::string("recovery: ") + what);
   }
@@ -163,6 +200,7 @@ class RecoveryManager : public UndoApplier {
   std::vector<Transaction*> losers_;
   PageId heap_tail_hint_ = kInvalidPageId;
   std::vector<PageId> doomed_heap_;
+  std::function<void()> checkpoint_collect_hook_;
 
   obs::Counter* m_analyzed_ = nullptr;
   obs::Counter* m_redone_ = nullptr;

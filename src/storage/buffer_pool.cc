@@ -378,6 +378,7 @@ void BufferPool::DiscardAll() {
 
 std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
   std::vector<std::pair<PageId, Lsn>> out;
+  std::vector<PageId> writing;
   for (auto& sp : shards_) {
     Shard& s = *sp;
     MutexLock l(s.mu);
@@ -385,8 +386,38 @@ std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
       if (f->dirty()) {
         const Lsn rec = f->rec_lsn();
         out.emplace_back(pid, rec == kInvalidLsn ? 0 : rec);
+      } else if ((f->version() & 1) != 0) {
+        writing.push_back(pid);
       }
     }
+  }
+  // A clean page under a writer's X latch may already carry a logged
+  // update that MarkDirty has not recorded yet — logged, perhaps, before
+  // the checkpoint's begin LSN. Wait the writer out (shared latch, as
+  // FlushPage does) and take the page's recLSN then.
+  for (PageId pid : writing) {
+    Shard& s = ShardOf(pid);
+    Frame* f = nullptr;
+    {
+      MutexLock l(s.mu);
+      auto it = s.table.find(pid);
+      // Gone or busy with I/O: an eviction or flush writes the update out.
+      if (it == s.table.end()) continue;
+      f = it->second;
+      f->AssertShardMutexHeld();
+      if (f->state_ != Frame::State::kReady) continue;
+      f->pin_count_++;
+    }
+    {
+      SharedLock sl(f->latch_);
+      if (f->dirty()) {
+        const Lsn rec = f->rec_lsn();
+        out.emplace_back(pid, rec == kInvalidLsn ? 0 : rec);
+      }
+    }
+    MutexLock l(s.mu);
+    f->AssertShardMutexHeld();
+    f->pin_count_--;
   }
   return out;
 }

@@ -230,7 +230,9 @@ class BufferPool {
   void DiscardAll();
 
   /// Dirty page table snapshot for fuzzy checkpoints: page id -> rec_lsn
-  /// (LSN of the earliest update not yet on disk).
+  /// (LSN of the earliest update not yet on disk). Pages X-latched while
+  /// clean are reported once their writer unlatches, so an update logged
+  /// before the call is never missed. Call with no page latch held.
   std::vector<std::pair<PageId, Lsn>> DirtyPageTable();
 
   size_t num_frames() const { return frames_.size(); }

@@ -57,6 +57,8 @@ class Transaction {
   // The backchain head and first LSN are written only by the transaction's
   // own thread but read cross-thread (checkpointing reads last_lsn; the
   // Commit_LSN garbage-collection test reads first_lsn), hence atomics.
+  // Both stay kInvalidLsn until the transaction logs its first record: a
+  // reader that never writes never logs (DESIGN.md section 11).
   Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
   void set_last_lsn(Lsn l) { last_lsn_.store(l, std::memory_order_release); }
   Lsn first_lsn() const {
@@ -64,6 +66,18 @@ class Transaction {
   }
   void set_first_lsn(Lsn l) {
     first_lsn_.store(l, std::memory_order_release);
+  }
+
+  /// Log tail seen by an AppendTxnLog still in flight (kInvalidLsn: none).
+  /// The record it appends lies above this floor; a fuzzy checkpoint
+  /// collecting the transaction table starts restart analysis no later
+  /// than the floor, so a record whose backchain bookkeeping has not
+  /// landed yet is still scanned (DESIGN.md section 8).
+  Lsn append_floor() const {
+    return append_floor_.load(std::memory_order_acquire);
+  }
+  void set_append_floor(Lsn l) {
+    append_floor_.store(l, std::memory_order_release);
   }
 
   /// Operation ids scope insert predicates and unique-probe predicates to
@@ -80,6 +94,7 @@ class Transaction {
   Lsn snapshot_lsn_ = kInvalidLsn;
   std::atomic<Lsn> first_lsn_{kInvalidLsn};
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
+  std::atomic<Lsn> append_floor_{kInvalidLsn};
   uint64_t next_op_id_ = 1;
   std::vector<SavepointInfo> savepoints_;
 };

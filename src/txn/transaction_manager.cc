@@ -18,6 +18,8 @@ void TransactionManager::AttachMetrics(obs::MetricsRegistry* reg) {
   m_begins_ = reg->GetCounter("txn.begins");
   m_commits_ = reg->GetCounter("txn.commits");
   m_aborts_ = reg->GetCounter("txn.aborts");
+  m_readonly_commits_ = reg->GetCounter("txn.readonly_commits");
+  m_readonly_aborts_ = reg->GetCounter("txn.readonly_aborts");
   m_commit_ns_ = reg->GetHistogram("txn.commit_ns");
 }
 
@@ -44,41 +46,56 @@ Transaction* TransactionManager::Begin(IsolationLevel iso) {
   }
   if (iso == IsolationLevel::kSnapshot) {
     // Read-only snapshot path: no txn-id lock (nothing can need to block
-    // on a reader that holds nothing), no Begin record (nothing to
-    // recover). The acceptance bar is literal: zero lock-manager calls.
+    // on a reader that holds nothing). The acceptance bar is literal: zero
+    // lock-manager calls.
     txn->set_snapshot_lsn(mvcc_->BeginSnapshot(id));
     m_begins_->Add(1);
     return txn;
   }
   // Every transaction X-locks its own id at startup so that others can
-  // block on its termination (paper section 10.3).
+  // block on its termination (paper section 10.3). No Begin record yet:
+  // AppendTxnLog writes it in front of the first record.
   Status st = locks_->Lock(id, LockName{LockSpace::kTxn, id},
                            LockMode::kExclusive);
-  GISTCR_CHECK(st.ok());
-  LogRecord rec;
-  rec.type = LogRecordType::kBegin;
-  st = AppendTxnLog(txn, &rec);
   GISTCR_CHECK(st.ok());
   m_begins_->Add(1);
   return txn;
 }
 
-Status TransactionManager::EndSnapshotTxn(Transaction* txn, bool committed) {
+Status TransactionManager::EndUnloggedTxn(Transaction* txn, bool committed) {
+  const TxnId id = txn->id();
+  const bool snapshot = txn->is_snapshot();
   txn->set_state(committed ? TxnState::kCommitted : TxnState::kAborted);
-  mvcc_->EndSnapshot(txn->id());
+  if (snapshot) {
+    mvcc_->EndSnapshot(id);
+  } else {
+    ReleaseAllFor(txn);
+  }
   (committed ? m_commits_ : m_aborts_)->Add(1);
+  (committed ? m_readonly_commits_ : m_readonly_aborts_)->Add(1);
   MutexLock l(mu_);
-  snapshot_table_.erase(txn->id());
+  (snapshot ? snapshot_table_ : table_).erase(id);
   return Status::OK();
 }
 
 Status TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
+  if (txn->last_lsn() == kInvalidLsn && rec->type != LogRecordType::kBegin) {
+    LogRecord begin;
+    begin.type = LogRecordType::kBegin;
+    GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &begin));
+  }
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
-  GISTCR_RETURN_IF_ERROR(log_->Append(rec));
-  txn->set_last_lsn(rec->lsn);
-  if (txn->first_lsn() == kInvalidLsn) txn->set_first_lsn(rec->lsn);
-  return Status::OK();
+  // Publish the tail before appending so a concurrent checkpoint either
+  // sees the updated backchain head or starts analysis below this record.
+  txn->set_append_floor(log_->end_lsn());
+  const Status st = log_->Append(rec);
+  if (st.ok()) {
+    txn->set_last_lsn(rec->lsn);
+    if (txn->first_lsn() == kInvalidLsn) txn->set_first_lsn(rec->lsn);
+  }
+  txn->set_append_floor(kInvalidLsn);
+  return st;
 }
 
 Status TransactionManager::NtaEnd(Transaction* txn, Lsn begin_lsn) {
@@ -95,7 +112,12 @@ void TransactionManager::ReleaseAllFor(Transaction* txn) {
 
 Status TransactionManager::Commit(Transaction* txn) {
   GISTCR_CHECK(txn->state() == TxnState::kActive);
-  if (txn->is_snapshot()) return EndSnapshotTxn(txn, /*committed=*/true);
+  // Nothing logged, nothing to make durable: every record lock this
+  // transaction read under was granted only after its writer's commit
+  // became durable, so no force is owed (DESIGN.md section 11).
+  if (txn->last_lsn() == kInvalidLsn) {
+    return EndUnloggedTxn(txn, /*committed=*/true);
+  }
   GISTCR_TRACE_SCOPE("txn.commit");
   const uint64_t t0 = obs::NowNanos();
   LogRecord commit;
@@ -164,7 +186,9 @@ Status TransactionManager::UndoTo(Transaction* txn, Lsn stop_lsn) {
 
 Status TransactionManager::Abort(Transaction* txn) {
   GISTCR_CHECK(txn->state() == TxnState::kActive);
-  if (txn->is_snapshot()) return EndSnapshotTxn(txn, /*committed=*/false);
+  if (txn->last_lsn() == kInvalidLsn) {
+    return EndUnloggedTxn(txn, /*committed=*/false);
+  }
   LogRecord abort_rec;
   abort_rec.type = LogRecordType::kAbort;
   GISTCR_RETURN_IF_ERROR(AppendTxnLog(txn, &abort_rec));
@@ -235,15 +259,29 @@ Lsn TransactionManager::OldestActiveFirstLsn() {
   return oldest;
 }
 
-std::vector<std::pair<TxnId, Lsn>> TransactionManager::ActiveTxns() {
+std::vector<std::pair<TxnId, Lsn>> TransactionManager::ActiveTxns(
+    Lsn* append_floor) {
   MutexLock l(mu_);
   std::vector<std::pair<TxnId, Lsn>> out;
+  Lsn floor = kInvalidLsn;
   for (auto& [id, txn] : table_) {
-    if (txn->state() == TxnState::kActive) {
-      out.emplace_back(id, txn->last_lsn());
-    }
+    if (txn->state() != TxnState::kActive) continue;
+    // Floor before head: a cleared floor guarantees the head it guarded
+    // is visible (AppendTxnLog sets the head, then clears the floor).
+    const Lsn f = txn->append_floor();
+    if (f != kInvalidLsn && (floor == kInvalidLsn || f < floor)) floor = f;
+    // A transaction that has logged nothing has nothing to undo: keeping
+    // it out of the checkpoint keeps restart from resurrecting it.
+    const Lsn last = txn->last_lsn();
+    if (last != kInvalidLsn) out.emplace_back(id, last);
   }
+  if (append_floor != nullptr) *append_floor = floor;
   return out;
+}
+
+size_t TransactionManager::OpenCount() {
+  MutexLock l(mu_);
+  return table_.size() + snapshot_table_.size();
 }
 
 Transaction* TransactionManager::ResurrectForUndo(TxnId id, Lsn last_lsn) {

@@ -57,23 +57,27 @@ class TransactionManager {
   /// before concurrent use; the Database facade does so at init.
   void AttachMetrics(obs::MetricsRegistry* reg);
 
-  /// Starts a transaction: assigns an id, X-locks the txn's own id (the
+  /// Starts a transaction: assigns an id and X-locks the txn's own id (the
   /// handle other operations block on when they "block on a predicate",
-  /// paper section 10.3), logs Begin.
+  /// paper section 10.3). Logs nothing: the Begin record is written by
+  /// AppendTxnLog in front of the transaction's first record, so a
+  /// transaction that only reads never touches the log.
   ///
-  /// kSnapshot transactions skip all of that: no txn-id lock (nothing ever
-  /// blocks on a reader that holds nothing), no Begin record (they write
-  /// no log), no transaction-table entry (they never checkpoint or
-  /// recover) — just a snapshot stamp from the oracle.
+  /// kSnapshot transactions skip the rest too: no txn-id lock (nothing
+  /// ever blocks on a reader that holds nothing), no transaction-table
+  /// entry (they never checkpoint or recover) — just a snapshot stamp from
+  /// the oracle.
   Transaction* Begin(IsolationLevel iso = IsolationLevel::kRepeatableRead);
 
   /// Commit: log Commit, force the log, release predicates and locks, log
-  /// End.
+  /// End. A transaction that logged nothing appends and forces nothing: it
+  /// only releases its locks and predicates (DESIGN.md section 11).
   Status Commit(Transaction* txn);
 
   /// Abort: log Abort, undo the backchain writing CLRs (logical undo for
   /// leaf-entry records; NTAs are skipped via their NTA-End undo_next),
-  /// log End, release predicates and locks.
+  /// log End, release predicates and locks. A transaction that logged
+  /// nothing has nothing to undo and appends nothing.
   Status Abort(Transaction* txn);
 
   /// Establishes / rolls back to a savepoint (partial rollback; the txn
@@ -82,7 +86,8 @@ class TransactionManager {
   Status RollbackToSavepoint(Transaction* txn, const std::string& name);
 
   /// Appends \p rec on behalf of \p txn: fills txn_id/prev_lsn, maintains
-  /// the backchain head and first_lsn.
+  /// the backchain head and first_lsn. The transaction's first record is
+  /// preceded by its Begin record.
   Status AppendTxnLog(Transaction* txn, LogRecord* rec);
 
   /// Nested top action bracket (paper section 9.1): remember the backchain
@@ -100,8 +105,16 @@ class TransactionManager {
   /// checks (paper section 7.1, footnote 11).
   Lsn OldestActiveFirstLsn();
 
-  /// Active transaction table snapshot for fuzzy checkpoints.
-  std::vector<std::pair<TxnId, Lsn>> ActiveTxns();
+  /// Active transaction table snapshot for fuzzy checkpoints: every
+  /// active transaction that has logged something, with its backchain
+  /// head. When \p append_floor is non-null it receives the lowest
+  /// Transaction::append_floor() of an append in flight (kInvalidLsn:
+  /// none) — restart analysis must start at or below it.
+  std::vector<std::pair<TxnId, Lsn>> ActiveTxns(Lsn* append_floor = nullptr);
+
+  /// Transactions begun and not yet ended, snapshot readers and those that
+  /// have logged nothing included (leak checks).
+  size_t OpenCount();
 
   /// Restart support: recovery re-creates loser transactions to drive
   /// their undo through the normal rollback machinery.
@@ -120,11 +133,13 @@ class TransactionManager {
   Status UndoTo(Transaction* txn, Lsn stop_lsn);
   void ReleaseAllFor(Transaction* txn);
 
-  /// Ends a kSnapshot transaction: unregisters the snapshot, frees the
-  /// descriptor. Shared by Commit and Abort — the only difference for a
-  /// transaction that wrote nothing is the reported final state and which
-  /// lifecycle counter ticks, which \p committed selects.
-  Status EndSnapshotTxn(Transaction* txn, bool committed);
+  /// Ends a transaction that logged nothing: no record, no force. Releases
+  /// its locks and predicates (a kSnapshot transaction unregisters its
+  /// snapshot instead) and frees the descriptor. Shared by Commit and
+  /// Abort — the only difference for a transaction that wrote nothing is
+  /// the reported final state and which counters tick, which \p committed
+  /// selects.
+  Status EndUnloggedTxn(Transaction* txn, bool committed);
 
   LogManager* log_;
   LockManager* locks_;
@@ -136,6 +151,8 @@ class TransactionManager {
   obs::Counter* m_begins_ = nullptr;
   obs::Counter* m_commits_ = nullptr;
   obs::Counter* m_aborts_ = nullptr;
+  obs::Counter* m_readonly_commits_ = nullptr;  ///< ended with no log record
+  obs::Counter* m_readonly_aborts_ = nullptr;
   obs::Histogram* m_commit_ns_ = nullptr;  ///< includes the log force
 
   Mutex mu_{GISTCR_LOCK_RANK(kTxnManager, "txn.mu")};

@@ -86,7 +86,7 @@ Status LogManager::Open(const std::string& path) {
   fd_ = fd;
   path_ = path;
   buffer_base_ = static_cast<Lsn>(size);
-  next_lsn_ = buffer_base_;
+  next_lsn_.store(buffer_base_, std::memory_order_release);
   requested_lsn_ = kInvalidLsn;
   durable_lsn_.store(buffer_base_ > kFirstLsn ? buffer_base_ - 1 : kInvalidLsn,
                      std::memory_order_release);
@@ -172,9 +172,9 @@ Status LogManager::Append(LogRecord* rec) {
 
   MutexLock l(mu_);
   GISTCR_CHECK(fd_ >= 0);
-  rec->lsn = next_lsn_;
+  rec->lsn = next_lsn_.load(std::memory_order_relaxed);
   buffer_.append(scratch);
-  next_lsn_ += scratch.size();
+  next_lsn_.store(rec->lsn + scratch.size(), std::memory_order_release);
   last_lsn_.store(rec->lsn, std::memory_order_release);
   m_appends_->Add(1);
   m_append_bytes_->Add(scratch.size());
@@ -474,11 +474,6 @@ Status LogManager::ScanRange(Lsn from, Lsn upto,
   });
 }
 
-uint64_t LogManager::TotalBytes() const {
-  MutexLock l(mu_);
-  return buffer_base_ + flushing_.size() + buffer_.size() - kFirstLsn;
-}
-
 LogManager::FlusherStats LogManager::GetFlusherStats() const {
   MutexLock l(mu_);
   FlusherStats s;
@@ -531,7 +526,7 @@ void LogManager::DiscardTail() {
   buffer_.clear();
   pending_records_ = 0;
   pending_commits_ = 0;
-  next_lsn_ = buffer_base_;
+  next_lsn_.store(buffer_base_, std::memory_order_release);
   last_lsn_.store(durable_lsn_.load(std::memory_order_acquire),
                   std::memory_order_release);
   if (requested_lsn_ != kInvalidLsn) {

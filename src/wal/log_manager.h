@@ -71,6 +71,10 @@ class LogManager {
   /// LSN of the most recently appended record — the paper's "global NSN"
   /// counter value (section 10.1).
   Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
+  /// LSN the next appended record will get: the log tail as a record
+  /// boundary (last_lsn() need not be one right after Open). Every record
+  /// appended before the call lies below it, every later one at or above.
+  Lsn end_lsn() const { return next_lsn_.load(std::memory_order_acquire); }
   Lsn durable_lsn() const {
     return durable_lsn_.load(std::memory_order_acquire);
   }
@@ -96,7 +100,7 @@ class LogManager {
   static constexpr Lsn kFirstLsn = 8;
 
   /// Total bytes appended so far (for benchmarks measuring log volume).
-  uint64_t TotalBytes() const;
+  uint64_t TotalBytes() const { return end_lsn() - kFirstLsn; }
 
   /// Simulates a crash: drops the unflushed tail buffer. Records with LSN
   /// beyond durable_lsn() are lost, exactly as after a power failure. A
@@ -249,7 +253,8 @@ class LogManager {
 
   std::atomic<Lsn> last_lsn_{kInvalidLsn};
   std::atomic<Lsn> durable_lsn_{kInvalidLsn};
-  Lsn next_lsn_ GISTCR_GUARDED_BY(mu_) = kFirstLsn;
+  /// Written only under mu_; read lock-free by end_lsn().
+  std::atomic<Lsn> next_lsn_{kFirstLsn};
   std::atomic<bool> sync_on_flush_{true};
   std::atomic<Lsn> reclaimed_before_{LogManager::kFirstLsn};
 };

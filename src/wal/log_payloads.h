@@ -245,6 +245,11 @@ struct CheckpointPayload {
   /// the recovered tail from the log alone, so opening the data store
   /// does not have to walk (and therefore redo) the whole heap chain.
   PageId heap_tail = kInvalidPageId;
+  /// Begin-checkpoint LSN (ARIES): the log tail before the tables above
+  /// were collected, lowered to any append still in flight. Every record
+  /// the tables may have missed lies at or above it, so restart analysis
+  /// starts here rather than at the checkpoint record itself.
+  Lsn begin_lsn = kInvalidLsn;
 
   void EncodeTo(std::string* dst) const {
     PutFixed64(dst, nsn_counter);
@@ -260,6 +265,7 @@ struct CheckpointPayload {
       PutFixed64(dst, p.rec_lsn);
     }
     PutFixed32(dst, heap_tail);
+    PutFixed64(dst, begin_lsn);
   }
   bool DecodeFrom(Slice s) {
     Decoder d(s);
@@ -283,6 +289,8 @@ struct CheckpointPayload {
     // Absent in records written before the field existed: treat as "no
     // hint" (instant restart then falls back to walking the chain).
     if (!d.GetFixed32(&heap_tail)) heap_tail = kInvalidPageId;
+    // Likewise: analysis then starts at the checkpoint record.
+    if (!d.GetFixed64(&begin_lsn)) begin_lsn = kInvalidLsn;
     return true;
   }
 };

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -172,6 +173,31 @@ TEST_F(BufferPoolShardTest, WriteBackSomeCleansDirtyPages) {
   PageId stamp;
   std::memcpy(&stamp, buf + kPageSize / 2, sizeof(stamp));
   EXPECT_EQ(stamp, static_cast<PageId>(17));
+}
+
+// The fuzzy-checkpoint DPT must not miss a page whose writer has logged
+// an update but not yet called MarkDirty: a clean page held X-latched
+// during the scan is reported once the writer lets go.
+TEST_F(BufferPoolShardTest, DirtyPageTableWaitsOutLatchedWriter) {
+  MakePool(64, 1);
+  SeedPage(5);
+  auto f = pool_->Fetch(5);
+  ASSERT_OK(f.status());
+  std::atomic<bool> latched{false};
+  std::thread writer([&] {
+    PageGuard g(pool_.get(), f.value());
+    g.WLatch();
+    latched.store(true, std::memory_order_release);
+    // The update's record was "appended" (LSN 77) before the scan began.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    g.frame()->MarkDirty(77);
+  });
+  while (!latched.load(std::memory_order_acquire)) std::this_thread::yield();
+  const auto dpt = pool_->DirtyPageTable();
+  writer.join();
+  ASSERT_EQ(dpt.size(), 1u);
+  EXPECT_EQ(dpt[0].first, static_cast<PageId>(5));
+  EXPECT_EQ(dpt[0].second, static_cast<Lsn>(77));
 }
 
 // The writer daemon end to end: with writer_interval_ms set, dirty pages

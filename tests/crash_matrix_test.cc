@@ -173,7 +173,7 @@ int ForkAndWait(const std::function<void()>& child_body) {
       for (int j = 0; j < 4 && ok; j++) {
         const int64_t k = 1000 + next_key++;
         ok = db->InsertRecord(txn, gist, BtreeExtension::MakeKey(k),
-                              "v" + std::to_string(k))
+                              std::string("v").append(std::to_string(k)))
                  .ok();
       }
       if (ok) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "access/btree_extension.h"
 #include "tests/test_util.h"
@@ -170,6 +172,66 @@ TEST_F(MaintenanceTest, ReclaimKeepsActiveTxnBackchain) {
   ASSERT_OK(gist->Search(t2, BtreeExtension::MakeRange(-10, -1), &results));
   EXPECT_TRUE(results.empty());
   ASSERT_OK(db_->Commit(t2));
+}
+
+// Explicit checkpoints racing each other and the maintenance daemon's:
+// every call must succeed (they publish through one master-pointer file),
+// and after a crash the master pointer must still name a checkpoint whose
+// log was not reclaimed from under it.
+TEST_F(MaintenanceTest, ConcurrentCheckpointsAllSucceed) {
+  opts_.maintenance_interval_ms = 1;
+  auto db_or = Database::Create(opts_);
+  ASSERT_OK(db_or.status());
+  db_ = db_or.MoveValue();
+  ASSERT_OK(db_->CreateIndex(1, &ext_));
+  Gist* gist = db_->GetIndex(1).value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> committed{0};
+  std::thread writer([&] {
+    for (int64_t k = 0; !stop.load(); k++) {
+      Transaction* txn = db_->Begin();
+      if (!db_->InsertRecord(txn, gist, BtreeExtension::MakeKey(k), "v")
+               .ok() ||
+          !db_->Commit(txn).ok()) {
+        return;
+      }
+      committed.store(k + 1);
+    }
+  });
+  std::vector<std::thread> checkpointers;
+  std::vector<Status> first_error(3);
+  for (size_t t = 0; t < first_error.size(); t++) {
+    checkpointers.emplace_back([&, t] {
+      for (int i = 0; i < 100; i++) {
+        Status st = db_->Checkpoint();
+        if (!st.ok()) {
+          first_error[t] = st;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& th : checkpointers) th.join();
+  stop.store(true);
+  writer.join();
+  for (const Status& st : first_error) EXPECT_OK(st);
+
+  db_->SimulateCrash();
+  db_.reset();
+  auto re_or = Database::Open(opts_);
+  ASSERT_OK(re_or.status());
+  db_ = re_or.MoveValue();
+  ASSERT_OK(db_->WaitForRecovery());
+  ASSERT_OK(db_->OpenIndex(1, &ext_));
+  gist = db_->GetIndex(1).value();
+  ASSERT_OK(gist->CheckInvariants());
+  Transaction* txn = db_->Begin();
+  std::vector<SearchResult> results;
+  ASSERT_OK(gist->Search(txn, BtreeExtension::MakeRange(0, 1 << 30),
+                         &results));
+  ASSERT_OK(db_->Commit(txn));
+  EXPECT_EQ(static_cast<int64_t>(results.size()), committed.load());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class ProtocolFuzzTest : public ::testing::Test {
     // The server must still shut down gracefully after all the abuse.
     if (server_) ASSERT_OK(server_->Shutdown());
     server_.reset();
-    EXPECT_TRUE(db_->txns()->ActiveTxns().empty())
+    EXPECT_EQ(db_->txns()->OpenCount(), 0u)
         << "fuzzing leaked a transaction";
     db_.reset();
     RemoveDbFiles(path_);
@@ -268,17 +268,17 @@ TEST_F(ProtocolFuzzTest, GarbageAfterOpenTransaction) {
   }
   ASSERT_TRUE(got);
   ASSERT_EQ(reply.opcode, net::Opcode::kOk);
-  ASSERT_FALSE(db_->txns()->ActiveTxns().empty());
+  ASSERT_GT(db_->txns()->OpenCount(), 0u);
 
   std::string junk(64, '\xEE');
   ASSERT_OK(net::WriteFully(s.fd(), junk.data(), junk.size()));
   s.Close();
 
   for (int i = 0; i < 500; i++) {
-    if (db_->txns()->ActiveTxns().empty()) break;
+    if (db_->txns()->OpenCount() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(db_->txns()->ActiveTxns().empty())
+  EXPECT_EQ(db_->txns()->OpenCount(), 0u)
       << "poisoned connection leaked its transaction";
   SanityProbe();
 }
@@ -306,7 +306,7 @@ TEST_F(ProtocolFuzzTest, RandomFrameFuzz) {
             payload);
   }
   SanityProbe();
-  EXPECT_TRUE(db_->txns()->ActiveTxns().empty());
+  EXPECT_EQ(db_->txns()->OpenCount(), 0u);
 }
 
 }  // namespace

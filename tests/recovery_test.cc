@@ -4,6 +4,7 @@
 #include <set>
 
 #include "access/btree_extension.h"
+#include "storage/fault_injector.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -266,6 +267,95 @@ TEST_F(RecoveryTest, CheckpointWithActiveLoserStillUndoes) {
   CrashAndRecover();
   ASSERT_OK(gist_->CheckInvariants());
   EXPECT_TRUE(ScanAll().empty());
+}
+
+// Fuzzy-checkpoint window (DESIGN.md section 8): records appended after
+// the checkpoint collected its ATT and DPT but before its record was
+// appended. A loser whose first record lands there must still be undone,
+// and pages first dirtied there must still be redone, in both restart
+// modes.
+TEST_F(RecoveryTest, CheckpointCollectWindowIsRecovered) {
+  std::vector<int64_t> expected;
+  int64_t base = 0;
+  for (bool instant : {true, false}) {
+    SCOPED_TRACE(instant ? "instant restart" : "offline restart");
+    opts_.instant_restart = instant;
+    Transaction* t0 = db_->Begin();
+    for (int64_t k = base; k < base + 30; k++) {
+      MustInsert(t0, k);
+      expected.push_back(k);
+    }
+    ASSERT_OK(db_->Commit(t0));
+    ASSERT_OK(db_->FlushAll());  // every page clean: the DPT starts empty
+    Transaction* loser = db_->Begin();
+    Transaction* winner = db_->Begin();
+    db_->recovery()->SetCheckpointCollectHookForTest([&] {
+      for (int64_t k = base + 100; k < base + 110; k++) MustInsert(loser, k);
+      for (int64_t k = base + 200; k < base + 210; k++) {
+        MustInsert(winner, k);
+        expected.push_back(k);
+      }
+    });
+    ASSERT_OK(db_->Checkpoint());
+    db_->recovery()->SetCheckpointCollectHookForTest(nullptr);
+    ASSERT_OK(db_->Commit(winner));  // also forces the loser's records
+    CrashAndRecover();
+    ASSERT_OK(gist_->CheckInvariants());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ScanAll(), expected);
+    base += 1000;
+  }
+}
+
+// A checkpoint taken right after a restart, before anything new is
+// appended: its begin LSN must still be a record boundary (the log end),
+// or a later restart from it reads garbage and redoes nothing.
+TEST_F(RecoveryTest, CheckpointRightAfterRestartIsUsable) {
+  Transaction* t0 = db_->Begin();
+  for (int64_t k = 0; k < 20; k++) MustInsert(t0, k);
+  ASSERT_OK(db_->Commit(t0));
+  CrashAndRecover();
+  ASSERT_OK(db_->Checkpoint());
+  Transaction* t1 = db_->Begin();
+  for (int64_t k = 20; k < 40; k++) MustInsert(t1, k);
+  ASSERT_OK(db_->Commit(t1));
+  CrashAndRecover();
+  ASSERT_OK(gist_->CheckInvariants());
+  EXPECT_EQ(ScanAll().size(), 40u);
+}
+
+// A transaction whose Commit record is durable but which had not written
+// its End when a checkpoint listed it as active is a winner, even though
+// restart analysis starts above its Commit record.
+TEST_F(RecoveryTest, CheckpointDuringCommitKeepsTheWinner) {
+  if (!kFaultInjectionCompiled) {
+    GTEST_SKIP() << "built with GISTCR_FAULT_INJECTION=OFF";
+  }
+  std::vector<int64_t> expected;
+  int64_t base = 0;
+  for (bool instant : {true, false}) {
+    SCOPED_TRACE(instant ? "instant restart" : "offline restart");
+    opts_.instant_restart = instant;
+    Transaction* t = db_->Begin();
+    for (int64_t k = base; k < base + 10; k++) {
+      MustInsert(t, k);
+      expected.push_back(k);
+    }
+    FaultInjector::Global().ArmCrashPoint("txn.commit.after_log_force", 0,
+                                          FaultInjector::CrashAction::kStatus);
+    EXPECT_FALSE(db_->Commit(t).ok());  // Commit forced; End never written
+    FaultInjector::Global().Reset();
+    // Later work moves the checkpoint's begin LSN past t's Commit record.
+    Transaction* other = db_->Begin();
+    MustInsert(other, base + 500);
+    expected.push_back(base + 500);
+    ASSERT_OK(db_->Commit(other));
+    ASSERT_OK(db_->Checkpoint());
+    CrashAndRecover();
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ScanAll(), expected);
+    base += 1000;
+  }
 }
 
 TEST_F(RecoveryTest, SavepointRollbackSurvivesCrash) {

@@ -49,13 +49,13 @@ class ServerDisconnectTest : public ::testing::Test {
   /// the session count and transaction table reflect it.
   void WaitForAbortReap() {
     for (int i = 0; i < 500; i++) {
-      if (server_->active_sessions() == 0 && db_->txns()->ActiveTxns().empty())
+      if (server_->active_sessions() == 0 && db_->txns()->OpenCount() == 0)
         return;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     FAIL() << "server never reaped the dead session: "
            << server_->active_sessions() << " sessions, "
-           << db_->txns()->ActiveTxns().size() << " txns";
+           << db_->txns()->OpenCount() << " txns";
   }
 
   std::string path_;
@@ -121,7 +121,7 @@ TEST_F(ServerDisconnectTest, ManyAbruptDisconnectsLeakNothing) {
     c.Close();
   }
   WaitForAbortReap();
-  EXPECT_TRUE(db_->txns()->ActiveTxns().empty());
+  EXPECT_EQ(db_->txns()->OpenCount(), 0u);
 
   Client b = MakeClient();
   auto hits = b.Search(1, BtreeExtension::MakeRange(1000, 1009));

@@ -228,7 +228,8 @@ TEST_F(ServerTest, GracefulShutdownLeavesRecoverableDatabase) {
     Client c = MakeClient();
     for (int i = 0; i < 100; i++) {
       ASSERT_OK(
-          c.Insert(1, BtreeExtension::MakeKey(i), "x" + std::to_string(i))
+          c.Insert(1, BtreeExtension::MakeKey(i),
+                   std::string("x").append(std::to_string(i)))
               .status());
     }
   }

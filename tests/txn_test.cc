@@ -140,9 +140,14 @@ TEST_F(TxnTest, OldestActiveFirstLsnTracksBackchains) {
   EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
   Transaction* a = txns_->Begin();
   Transaction* b = txns_->Begin();
+  // Begin logs nothing: no backchain exists yet to protect.
+  EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
+  AppendUpdate(a);
+  AppendUpdate(b);
   const Lsn fa = a->first_lsn();
+  EXPECT_EQ(txns_->OldestActiveFirstLsn(), fa);
   ASSERT_OK(txns_->Commit(a));
-  EXPECT_GT(txns_->OldestActiveFirstLsn(), fa);  // b began later
+  EXPECT_GT(txns_->OldestActiveFirstLsn(), fa);  // b logged later
   ASSERT_OK(txns_->Commit(b));
   EXPECT_EQ(txns_->OldestActiveFirstLsn(), kInvalidLsn);
 }
