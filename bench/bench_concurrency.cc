@@ -173,8 +173,8 @@ void BM_DurableCommit(benchmark::State& state) {
 }
 
 // Read-mostly mixes for the optimistic read path (DESIGN.md section 13):
-// 95/5 and 99/1 search/insert, Arg 0 = latched reads (the seed baseline
-// checked in as bench/BENCH_read.seed.json), Arg 1 = optimistic reads.
+// 95/5 and 99/1 search/insert, Arg 0 = latched reads, Arg 1 = optimistic
+// reads (bench/BENCH_read.seed.json holds a checked-in run of both).
 // Narrow 10-key range scans over a fanout-64 tree keep the traversal
 // (where the latch-vs-snapshot difference lives) the dominant per-op
 // cost rather than leaf entry scanning. Thread 0 writes BENCH_read.json

@@ -6,8 +6,8 @@
 // bench_concurrency. Same shape as commit_report.h: rows accumulate across
 // (mix, mode, threads) combinations and the file is rewritten whole each
 // time, so a partial sweep still leaves valid JSON. The checked-in
-// bench/BENCH_read.seed.json holds the latched-read baseline rows the
-// optimistic arm is compared against.
+// bench/BENCH_read.seed.json is a single run of the CI read-path step
+// (both arms) to compare against.
 
 #include <cstdio>
 #include <map>

@@ -91,10 +91,12 @@ class GistCursor {
   /// Visible() filter, takes no locks of any kind.
   const bool snapshot_;
   const std::string query_;
-  const uint64_t op_id_;
   bool open_ = false;
   std::vector<Gist::StackEntry> stack_;
   std::unordered_set<uint64_t> seen_;
+  /// The shared Figure 3 traversal over stack_ and seen_ (query_ owns the
+  /// query bytes it points at).
+  Gist::ReadOp op_;
   std::deque<SearchResult> pending_;
 };
 

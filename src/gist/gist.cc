@@ -1,6 +1,5 @@
 #include "gist/gist.h"
 
-#include <algorithm>
 #include <thread>
 
 #include "db/meta_page.h"
@@ -14,11 +13,17 @@ namespace gistcr {
 using internal::TreeLatch;
 
 namespace {
-/// Validation failures tolerated per node visit before the optimistic
-/// reader gives up and re-runs the visit through the latched path. Bounds
-/// the restart work a write-hot node can inflict on readers (DESIGN.md
-/// section 13) and guarantees progress under sustained invalidation.
+/// Failed validations tolerated per optimistic read before the reader
+/// gives up and takes the S latch. Bounds the restart work a write-hot
+/// node can inflict on readers (DESIGN.md section 13) and guarantees
+/// progress under sustained invalidation.
 constexpr int kOptimisticMaxAttempts = 8;
+/// Writer sections per optimistic read that may be waited out without
+/// spending the budget above: a copy that finds the page X-latched (odd
+/// version) meets a queue, not a conflict. The cap keeps a stream of
+/// writers from starving the reader; past it, odd copies count as
+/// failures.
+constexpr int kOptimisticMaxWriterWaits = 64;
 }  // namespace
 
 GistStats::GistStats(obs::MetricsRegistry* reg)
@@ -34,6 +39,7 @@ GistStats::GistStats(obs::MetricsRegistry* reg)
       nodes_deleted(*reg->GetCounter("gist.nodes_deleted")),
       optimistic_visits(*reg->GetCounter("gist.read.optimistic_visits")),
       read_restarts(*reg->GetCounter("gist.read.restarts")),
+      read_writer_waits(*reg->GetCounter("gist.read.writer_waits")),
       read_fallbacks(*reg->GetCounter("gist.read.fallbacks")) {}
 
 Gist::Gist(const GistContext& ctx, const GistExtension* ext, GistOptions opts)
@@ -94,37 +100,65 @@ Status Gist::Open() {
   return Status::OK();
 }
 
+template <typename Body>
+StatusOr<bool> Gist::ReadOptimistic(Frame* frame,
+                                    Frame::SnapshotBoundsFn bounds,
+                                    Body&& body) {
+  alignas(8) char copy[kPageSize];
+  OptimisticReadScope optimistic;
+  int failures = 0;
+  int writer_waits = 0;
+  while (failures < kOptimisticMaxAttempts) {
+    uint64_t version = 0;
+    if (frame->SnapshotPage(copy, &version, bounds)) {
+      auto pass = body(copy, version);
+      GISTCR_RETURN_IF_ERROR(pass.status());
+      if (pass.value() == Pass::kDone) return true;
+      if (pass.value() == Pass::kWait) continue;
+    } else if ((version & 1) != 0 &&
+               writer_waits < kOptimisticMaxWriterWaits) {
+      // A writer holds the X latch. Wait until it publishes, as the S
+      // latch would: writers never wait on readers, so this ends.
+      writer_waits++;
+      stats_.read_writer_waits.Add(1);
+      while (frame->version() == version) std::this_thread::yield();
+      continue;
+    }
+    failures++;
+    stats_.read_restarts.Add(1);
+    obs::BumpRestarts();
+    GISTCR_CRASHPOINT("search.optimistic_restart");
+  }
+  stats_.read_fallbacks.Add(1);
+  return false;
+}
+
 StatusOr<PageId> Gist::GetRoot() {
   auto frame_or = ctx_.pool->Fetch(MetaView::kMetaPageId);
   GISTCR_RETURN_IF_ERROR(frame_or.status());
   PageGuard guard(ctx_.pool, frame_or.value());
+  PageId root = kInvalidPageId;
+  const auto read = [&](char* page) -> StatusOr<Pass> {
+    MetaView meta(PageView(page).data());
+    if (!meta.valid()) return Status::Corruption("bad meta page");
+    root = meta.GetRoot(opts_.index_id);
+    return Pass::kDone;
+  };
   if (UseOptimisticReads(/*hybrid_attach=*/false)) {
     // The meta page is the hottest shared latch in the tree (every
     // operation starts here); read the root pointer from a version-
-    // validated snapshot instead. Root caching is NOT safe — a stale
-    // ex-root could be retired and its page reallocated — but the
-    // validated snapshot carries no such hazard: it is exactly the
-    // latched read, minus the latch.
-    alignas(8) char snap[kPageSize];
-    OptimisticReadScope optimistic;
-    for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-      uint64_t version = 0;
-      if (!guard.frame()->SnapshotPage(snap, &version,
-                                       &MetaView::SnapshotBounds)) {
-        stats_.read_restarts.Add(1);
-        obs::BumpRestarts();
-        continue;
-      }
-      MetaView meta(PageView(snap).data());
-      if (!meta.valid()) return Status::Corruption("bad meta page");
-      return meta.GetRoot(opts_.index_id);
-    }
-    stats_.read_fallbacks.Add(1);
+    // validated copy instead. Root caching is NOT safe -- a stale ex-root
+    // could be retired and its page reallocated -- but the validated copy
+    // carries no such hazard: it is exactly the latched read, minus the
+    // latch.
+    auto done = ReadOptimistic(guard.frame(), &MetaView::SnapshotBounds,
+                               [&](char* copy, uint64_t) { return read(copy); });
+    GISTCR_RETURN_IF_ERROR(done.status());
+    if (done.value()) return root;
   }
   guard.RLatch();
-  MetaView meta(guard.view().data());
-  if (!meta.valid()) return Status::Corruption("bad meta page");
-  return meta.GetRoot(opts_.index_id);
+  GISTCR_RETURN_IF_ERROR(read(guard.view().data()).status());
+  return root;
 }
 
 PageId Gist::root_hint() {
@@ -136,19 +170,23 @@ Status Gist::FetchLatched(PageId pid, bool exclusive, PageGuard* out) {
   auto frame_or = ctx_.pool->Fetch(pid);
   GISTCR_RETURN_IF_ERROR(frame_or.status());
   *out = PageGuard(ctx_.pool, frame_or.value());
+  Latch(out, exclusive);
+  return Status::OK();
+}
+
+void Gist::Latch(PageGuard* g, bool exclusive) {
   // Every acquisition is recorded (uncontended ones land in the low
   // buckets), so the histogram doubles as a latch-traffic count and the
   // tail quantifies contention.
   const uint64_t t0 = obs::NowNanos();
   if (exclusive) {
-    out->WLatch();
+    g->WLatch();
   } else {
-    out->RLatch();
+    g->RLatch();
   }
   const uint64_t waited = obs::NowNanos() - t0;
   latch_wait_ns_->Record(waited);
   obs::AddStage(obs::Stage::kLatch, waited);
-  return Status::OK();
 }
 
 bool Gist::NodeIsFull(NodeView& node, const IndexEntry& e) const {
@@ -167,216 +205,44 @@ void Gist::SignalUnlock(Transaction* txn, PageId node) {
   ctx_.locks->Unlock(txn->id(), LockName{LockSpace::kNode, node});
 }
 
+Gist::ReadOp Gist::MakeReadOp(Transaction* txn, Slice query,
+                              PredKind attach_kind, bool attach,
+                              uint64_t op_id) const {
+  ReadOp op;
+  op.txn = txn;
+  op.query = query;
+  op.attach_kind = attach_kind;
+  op.op_id = op_id;
+  op.snapshot = txn->is_snapshot();
+  attach = attach && !op.snapshot;
+  op.hybrid_attach = attach && opts_.pred_mode == PredicateMode::kHybrid;
+  op.global_attach = attach && opts_.pred_mode == PredicateMode::kGlobal;
+  op.optimistic = UseOptimisticReads(op.hybrid_attach);
+  return op;
+}
+
 Status Gist::Search(Transaction* txn, Slice query,
                     std::vector<SearchResult>* out) {
   GISTCR_TRACE_SCOPE("gist.search");
   obs::TreeScope tree_scope;
   stats_.searches.Add(1);
   if (txn->is_snapshot()) {
-    return SearchSnapshot(txn, query, out);
+    GISTCR_CHECK(ctx_.mvcc != nullptr);  // Begin downgrades otherwise
+    ctx_.mvcc->CountSnapshotRead();
   }
-  const bool attach =
-      txn->isolation() == IsolationLevel::kRepeatableRead;
-  return SearchInternal(txn, query, PredKind::kSearch, attach,
-                        /*lock_rids=*/true, txn->NextOpId(), out);
+  ReadOp op = MakeReadOp(txn, query, PredKind::kSearch,
+                         txn->isolation() == IsolationLevel::kRepeatableRead,
+                         txn->NextOpId());
+  op.out = out;
+  return SearchInternal(op);
 }
 
-Status Gist::SearchSnapshot(Transaction* txn, Slice query,
-                            std::vector<SearchResult>* out) {
-  GISTCR_CHECK(ctx_.mvcc != nullptr);  // Begin downgrades otherwise
-  ctx_.mvcc->CountSnapshotRead();
-  const Lsn snap = txn->snapshot_lsn();
-
-  // The coarse baseline's tree latch is a latch, not a lock: snapshot
-  // readers take it shared like any other search under that protocol.
-  TreeLatch tree(&tree_latch_, /*exclusive=*/false,
-                 opts_.protocol == ConcurrencyProtocol::kCoarse);
-
-  // Same memorize-then-read ordering as SearchInternal (Figure 3 applied
-  // to the root pointer).
-  const Nsn root_mem = ctx_.nsn->Current();
-  auto root_or = GetRoot();
-  GISTCR_RETURN_IF_ERROR(root_or.status());
-  const PageId root = root_or.value();
-  if (root == kInvalidPageId) return Status::NotFound("index has no root");
-
-  // No signaling lock on the root (or on any stacked pointer below): the
-  // registered snapshot itself is what keeps every stacked pointer valid —
-  // TryDeleteChild refuses to retire nodes while MvccManager reports an
-  // active snapshot, and the snapshot was registered at Begin, strictly
-  // before this traversal read any pointer.
-  std::vector<StackEntry> stack;
-  stack.push_back({root, root_mem});
-  if (hooks_.after_root_push) hooks_.after_root_push();
-
-  std::unordered_set<uint64_t> seen;
-  const bool optimistic = UseOptimisticReads(/*hybrid_attach=*/false);
-  while (!stack.empty()) {
-    const StackEntry e = stack.back();
-    stack.pop_back();
-    if (hooks_.before_visit_node) hooks_.before_visit_node(e.page);
-    bool fallback = !optimistic;
-    if (optimistic) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntrySnapshot(
-          txn, e.page, e.nsn, query, snap, &stack, &seen, out, &fallback));
-    }
-    if (fallback) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntrySnapshotLatched(
-          txn, e.page, e.nsn, query, snap, &stack, &seen, out));
-    }
-  }
-  return Status::OK();
-}
-
-Status Gist::ProcessStackEntrySnapshot(Transaction* txn, PageId page,
-                                       Nsn memorized, Slice query, Lsn snap,
-                                       std::vector<StackEntry>* stack,
-                                       std::unordered_set<uint64_t>* seen,
-                                       std::vector<SearchResult>* out,
-                                       bool* fallback) {
-  (void)txn;
-  *fallback = false;
-  auto frame_or = ctx_.pool->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard g(ctx_.pool, frame_or.value());  // pin only — never latched
-  stats_.optimistic_visits.Add(1);
-
-  // Unlike the locking traversal's optimistic visit, pushes need no
-  // post-push revalidation here: a validated copy proves the parent held
-  // the pointer at copy time, and the active snapshot blocks retirement
-  // from then on. Dedupe within the visit so attempt restarts do not push
-  // a child twice.
-  std::unordered_set<PageId> pushed;
-  alignas(8) char snap_buf[kPageSize];
-  OptimisticReadScope optimistic;
-
-  for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-    if (attempt != 0) {
-      stats_.read_restarts.Add(1);
-      obs::BumpRestarts();
-      std::this_thread::yield();
-    }
-    const Nsn cur = ctx_.nsn->Current();  // memorize before the copy
-    uint64_t version = 0;
-    if (!g.frame()->SnapshotPage(snap_buf, &version,
-                                 &NodeView::SnapshotBounds)) {
-      continue;
-    }
-    NodeView node(PageView(snap_buf).data());
-
-    // Split detection (Figure 2) against the consistent copy.
-    if (node.nsn() > memorized && node.rightlink() != kInvalidPageId &&
-        pushed.count(node.rightlink()) == 0) {
-      bool already = false;
-      for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-      }
-      if (!already) {
-        stack->push_back({node.rightlink(), memorized});
-        pushed.insert(node.rightlink());
-        stats_.rightlink_follows.Add(1);
-      }
-    }
-
-    if (!node.is_leaf()) {
-      const uint16_t n = node.count();
-      for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
-        const PageId child = static_cast<PageId>(node.entry_value(i));
-        if (pushed.count(child) != 0) continue;
-        stack->push_back({child, cur});
-        pushed.insert(child);
-      }
-      g.Drop();
-      return Status::OK();
-    }
-
-    // Leaf: emit entries the snapshot can see. Visible() consults the
-    // *live* version store while the copy is frozen at validation time, so
-    // the verdicts are staged and the frame version re-checked before any
-    // of them publish. Store mutations that matter pair with a page write
-    // on this leaf (inserts, delete marks, abort undo retracting a record
-    // after its page undo), so an unchanged version proves the store the
-    // verdicts were computed against matches the copy; the unpaired
-    // mutations (commit stamping, pruning) are verdict-preserving for any
-    // registered snapshot.
-    GISTCR_CRASHPOINT("search.mvcc_visibility");
-    const uint16_t n = node.count();
-    std::vector<std::pair<uint64_t, SearchResult>> emit;
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (!ctx_.mvcc->Visible(rid, node.entry_del_txn(i), snap)) continue;
-      emit.emplace_back(
-          rid, SearchResult{node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (g.frame()->version() != version) continue;
-    for (auto& e2 : emit) {
-      seen->insert(e2.first);
-      out->push_back(std::move(e2.second));
-    }
-    g.Drop();
-    return Status::OK();
-  }
-
-  stats_.read_fallbacks.Add(1);
-  *fallback = true;
-  g.Drop();
-  return Status::OK();
-}
-
-Status Gist::ProcessStackEntrySnapshotLatched(
-    Transaction* txn, PageId page, Nsn memorized, Slice query, Lsn snap,
-    std::vector<StackEntry>* stack, std::unordered_set<uint64_t>* seen,
-    std::vector<SearchResult>* out) {
-  (void)txn;
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchLatched(page, /*exclusive=*/false, &g));
-  NodeView node(g.view().data());
-
-  if (LinkProtocol() && node.nsn() > memorized &&
-      node.rightlink() != kInvalidPageId) {
-    bool already = false;
-    for (const auto& s : *stack) {
-      if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-    }
-    if (!already) {
-      stack->push_back({node.rightlink(), memorized});
-      stats_.rightlink_follows.Add(1);
-      obs::BumpRestarts();
-    }
-  }
-
-  if (!node.is_leaf()) {
-    const Nsn cur = ctx_.nsn->Current();  // memorize before reading ptrs
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      stack->push_back({static_cast<PageId>(node.entry_value(i)), cur});
-    }
-    return Status::OK();
-  }
-
-  GISTCR_CRASHPOINT("search.mvcc_visibility");
-  const uint16_t n = node.count();
-  for (uint16_t i = 0; i < n; i++) {
-    if (!ext_->Consistent(node.entry_key(i), query)) continue;
-    const uint64_t rid = node.entry_value(i);
-    if (seen->count(rid) != 0) continue;
-    if (!ctx_.mvcc->Visible(rid, node.entry_del_txn(i), snap)) continue;
-    seen->insert(rid);
-    out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-  }
-  return Status::OK();
-}
-
-Status Gist::SearchInternal(Transaction* txn, Slice query,
-                            PredKind attach_kind, bool attach, bool lock_rids,
-                            uint64_t op_id, std::vector<SearchResult>* out) {
+Status Gist::SearchInternal(ReadOp op) {
+  Transaction* txn = op.txn;
+  const Slice query = op.query;
   // Pure predicate locking (section 4.2, ablation mode): one tree-global
   // check-then-register step before the traversal starts.
-  if (attach && opts_.pred_mode == PredicateMode::kGlobal) {
+  if (op.global_attach) {
     for (;;) {
       auto conflicts = ctx_.preds->FindConflicts(
           PredicateManager::kGlobalTable, txn->id(),
@@ -386,8 +252,8 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
                    ext_->Consistent(a.pred, query);
           });
       if (conflicts.empty()) {
-        ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(), op_id,
-                           attach_kind, query);
+        ctx_.preds->Attach(PredicateManager::kGlobalTable, txn->id(),
+                           op.op_id, op.attach_kind, query);
         break;
       }
       stats_.predicate_waits.Add(1);
@@ -396,332 +262,249 @@ Status Gist::SearchInternal(Transaction* txn, Slice query,
       }
     }
   }
-  const bool hybrid_attach =
-      attach && opts_.pred_mode == PredicateMode::kHybrid;
 
+  // The coarse baseline's tree latch is a latch, not a lock: every search
+  // takes it shared for the whole traversal, snapshot readers included.
   TreeLatch tree(&tree_latch_, /*exclusive=*/false,
                  opts_.protocol == ConcurrencyProtocol::kCoarse);
+  std::vector<StackEntry> stack;
+  std::unordered_set<uint64_t> seen;
+  op.tree = &tree;
+  op.stack = &stack;
+  op.seen = &seen;
+  GISTCR_RETURN_IF_ERROR(PushRoot(op));
+  return Drain(op, /*until_result=*/false);
+}
 
+Status Gist::PushRoot(const ReadOp& op) {
   // Memorize the counter BEFORE reading the root pointer: a root grow in
   // the window between a read-then-memorize pair would assign the old
   // root's new sibling an NSN below the memorized value, making the split
-  // undetectable (Figure 3's memorize-then-read order applies to the root
-  // pointer like any other). An older memorized value is always safe — at
-  // worst it costs an extra rightlink check.
+  // undetectable. An older memorized value is always safe -- at worst it
+  // costs an extra rightlink check.
   const Nsn root_mem = ctx_.nsn->Current();
   auto root_or = GetRoot();
   GISTCR_RETURN_IF_ERROR(root_or.status());
   const PageId root = root_or.value();
   if (root == kInvalidPageId) return Status::NotFound("index has no root");
-
-  std::vector<StackEntry> stack;
-  GISTCR_RETURN_IF_ERROR(SignalLock(txn, root));
-  stack.push_back({root, root_mem});
+  // The root pointer comes from the meta page, not from a node image, so
+  // there is nothing to re-validate after its signaling lock.
+  if (!op.snapshot) GISTCR_RETURN_IF_ERROR(SignalLock(op.txn, root));
+  op.stack->push_back({root, root_mem});
   if (hooks_.after_root_push) hooks_.after_root_push();
+  return Status::OK();
+}
 
-  std::unordered_set<uint64_t> seen;
-
-  const bool optimistic = UseOptimisticReads(hybrid_attach);
-  while (!stack.empty()) {
-    const StackEntry e = stack.back();
-    stack.pop_back();
+Status Gist::Drain(const ReadOp& op, bool until_result) {
+  const size_t emitted = op.out->size();
+  while (!op.stack->empty() && !(until_result && op.out->size() > emitted)) {
+    const StackEntry e = op.stack->back();
+    op.stack->pop_back();
     if (hooks_.before_visit_node) hooks_.before_visit_node(e.page);
-    bool fallback = !optimistic;
-    if (optimistic) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntryOptimistic(
-          txn, e.page, e.nsn, query, lock_rids, &stack, &seen, out,
-          &fallback));
-    }
-    if (fallback) {
-      GISTCR_RETURN_IF_ERROR(ProcessStackEntry(
-          txn, e.page, e.nsn, query, attach_kind, hybrid_attach, lock_rids,
-          op_id, &stack, &seen, out, &tree));
-    }
+    GISTCR_RETURN_IF_ERROR(VisitNode(op, e));
   }
   return Status::OK();
 }
 
-
-Status Gist::ProcessStackEntry(Transaction* txn, PageId page, Nsn memorized,
-                               Slice query, PredKind attach_kind,
-                               bool hybrid_attach, bool lock_rids,
-                               uint64_t op_id,
-                               std::vector<StackEntry>* stack,
-                               std::unordered_set<uint64_t>* seen,
-                               std::vector<SearchResult>* out,
-                               internal::TreeLatch* tree) {
-  PageGuard g;
-  GISTCR_RETURN_IF_ERROR(FetchLatched(page, /*exclusive=*/false, &g));
-
-  for (;;) {
-    NodeView node(g.view().data());
-    // Split detection (Figure 2): the node split after the pointer was
-    // memorized; its right sibling(s) must also be examined, with the
-    // same memorized counter value.
-    if (LinkProtocol() && node.nsn() > memorized &&
-        node.rightlink() != kInvalidPageId) {
-      bool already = false;
-      for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-      }
-      if (!already) {
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, node.rightlink()));
-        stack->push_back({node.rightlink(), memorized});
-        stats_.rightlink_follows.Add(1);
-        obs::BumpRestarts();
-      }
-    }
-
-    if (!node.is_leaf()) {
-      const Nsn cur = ctx_.nsn->Current();  // memorize before reading ptrs
-      const uint16_t n = node.count();
-      for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
-        const PageId child = static_cast<PageId>(node.entry_value(i));
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, child));
-        stack->push_back({child, cur});
-      }
-      if (hybrid_attach) {
-        ctx_.preds->Attach(page, txn->id(), op_id, attach_kind, query);
-      }
-      break;
-    }
-
-    // Leaf: collect qualifying entries under the hybrid protocol.
-    bool rescan = false;
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n && !rescan; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      const TxnId del_txn = node.entry_del_txn(i);
-      if (del_txn == txn->id()) continue;  // own logical delete
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (lock_rids) {
-        Status st = ctx_.locks->Lock(txn->id(),
-                                     LockName{LockSpace::kRecord, rid},
-                                     LockMode::kShared, /*wait=*/false);
-        if (st.IsBusy()) {
-          // Blocking with a latch held could deadlock against the lock
-          // owner; release the latch, wait, re-position (section 5).
-          stats_.rid_lock_waits.Add(1);
-          const Nsn mem = node.nsn();
-          g.Unlatch();
-          if (tree != nullptr) tree->Release();
-          st = ctx_.locks->Lock(txn->id(),
-                                LockName{LockSpace::kRecord, rid},
-                                LockMode::kShared, /*wait=*/true);
-          GISTCR_RETURN_IF_ERROR(st);
-          if (tree != nullptr) tree->Acquire();
-          g.RLatch();
-          NodeView renode(g.view().data());
-          if (LinkProtocol() && renode.nsn() > mem &&
-              renode.rightlink() != kInvalidPageId) {
-            GISTCR_RETURN_IF_ERROR(SignalLock(txn, renode.rightlink()));
-            stack->push_back({renode.rightlink(), mem});
-            stats_.rightlink_follows.Add(1);
-            obs::BumpRestarts();
+Status Gist::VisitNode(const ReadOp& op, const StackEntry& e) {
+  auto frame_or = ctx_.pool->Fetch(e.page);
+  GISTCR_RETURN_IF_ERROR(frame_or.status());
+  PageGuard g(ctx_.pool, frame_or.value());
+  std::unordered_set<PageId> pushed;
+  PendingWait wait;
+  bool done = false;
+  if (op.optimistic) {
+    stats_.optimistic_visits.Add(1);
+    // Memorize the counter BEFORE each copy: a child that splits after the
+    // copy then carries an NSN above it (the copy stands in for the
+    // latched pointer read of Figure 3).
+    Nsn cur = ctx_.nsn->Current();
+    auto done_or = ReadOptimistic(
+        g.frame(), &NodeView::SnapshotBounds,
+        [&](char* copy, uint64_t version) -> StatusOr<Pass> {
+          const NodeImage img{NodeView(copy), cur, g.frame(), version};
+          auto pass = ScanNode(op, e, img, &pushed, &wait);
+          // No latch is held: a blocking wait happens right here.
+          if (pass.ok() && pass.value() == Pass::kWait) {
+            GISTCR_RETURN_IF_ERROR(WaitLocked(op, wait));
           }
-          rescan = true;  // restart the slot loop; `seen` prevents dupes
-          break;
-        }
-        GISTCR_RETURN_IF_ERROR(st);
-      }
-      if (node.entry_del_txn(i) != kInvalidTxnId) {
-        // Still marked after we obtained the S lock: the deleter
-        // committed; the entry is logically gone.
-        continue;
-      }
-      seen->insert(rid);
-      out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (rescan) continue;
-
-    if (hybrid_attach) {
-      // Attach the search predicate; FIFO fairness (section 10.3): block
-      // behind conflicting insert predicates attached ahead of us.
-      auto conflicts = ctx_.preds->AttachAndFindConflicts(
-          page, txn->id(), op_id, attach_kind, query,
-          [&](const PredAttachment& a) {
-            return a.kind == PredKind::kInsert &&
-                   ext_->Consistent(a.pred, query);
-          });
-      if (!conflicts.empty()) {
-        stats_.predicate_waits.Add(1);
-        const Nsn mem = node.nsn();
-        g.Unlatch();
-        if (tree != nullptr) tree->Release();
-        for (TxnId owner : conflicts) {
-          GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(txn->id(), owner));
-        }
-        if (tree != nullptr) tree->Acquire();
-        g.RLatch();
-        NodeView renode(g.view().data());
-        if (LinkProtocol() && renode.nsn() > mem &&
-            renode.rightlink() != kInvalidPageId) {
-          GISTCR_RETURN_IF_ERROR(SignalLock(txn, renode.rightlink()));
-          stack->push_back({renode.rightlink(), mem});
-          stats_.rightlink_follows.Add(1);
-          obs::BumpRestarts();
-        }
-        continue;  // rescan the leaf (the insert's entry is now visible)
-      }
-    }
-    break;
+          cur = ctx_.nsn->Current();
+          return pass;
+        });
+    GISTCR_RETURN_IF_ERROR(done_or.status());
+    done = done_or.value();
   }
-
+  if (!done) {
+    Latch(&g, /*exclusive=*/false);
+    for (;;) {
+      // Memorize before reading pointers, as for a copy.
+      const NodeImage img{NodeView(g.view().data()), ctx_.nsn->Current()};
+      auto pass = ScanNode(op, e, img, &pushed, &wait);
+      GISTCR_RETURN_IF_ERROR(pass.status());
+      if (pass.value() == Pass::kDone) break;
+      // Blocking with a latch held could deadlock against the lock owner:
+      // release the latches, wait, re-read (section 5). The re-read redoes
+      // split detection against e.nsn; `pushed` and `seen` dedupe.
+      g.Unlatch();
+      if (op.tree != nullptr) op.tree->Release();
+      GISTCR_RETURN_IF_ERROR(WaitLocked(op, wait));
+      if (op.tree != nullptr) op.tree->Acquire();
+      Latch(&g, /*exclusive=*/false);
+    }
+  }
   g.Drop();
   // Visited: the signaling lock protecting this stacked pointer can go
   // (section 7.2).
-  SignalUnlock(txn, page);
+  if (!op.snapshot) SignalUnlock(op.txn, e.page);
   return Status::OK();
 }
 
-Status Gist::ProcessStackEntryOptimistic(Transaction* txn, PageId page,
-                                         Nsn memorized, Slice query,
-                                         bool lock_rids,
-                                         std::vector<StackEntry>* stack,
-                                         std::unordered_set<uint64_t>* seen,
-                                         std::vector<SearchResult>* out,
-                                         bool* fallback) {
-  *fallback = false;
-  auto frame_or = ctx_.pool->Fetch(page);
-  GISTCR_RETURN_IF_ERROR(frame_or.status());
-  PageGuard g(ctx_.pool, frame_or.value());  // pin only — never latched
-  stats_.optimistic_visits.Add(1);
-
-  // Pushes committed by an earlier attempt of THIS visit. Each push was
-  // individually validated (the parent still held the pointer when its
-  // signaling lock landed), so an invalidated attempt leaves them on the
-  // stack; this set keeps the retry from pushing duplicates.
-  std::unordered_set<PageId> pushed;
-  alignas(8) char snap[kPageSize];
-  OptimisticReadScope optimistic;
-
-  for (int attempt = 0; attempt < kOptimisticMaxAttempts; attempt++) {
-    if (attempt != 0) {
-      stats_.read_restarts.Add(1);
-      obs::BumpRestarts();
-      GISTCR_CRASHPOINT("search.optimistic_restart");
-      // A writer may be holding the X latch for a while (e.g. I/O under
-      // latch on the insert path); don't burn the restart budget spinning.
-      std::this_thread::yield();
-    }
-    // Memorize the counter BEFORE the copy: a child that splits after the
-    // copy then carries an NSN above it (Figure 3 ordering, with the
-    // snapshot standing in for the latched pointer read).
-    const Nsn cur = ctx_.nsn->Current();
-    uint64_t version = 0;
-    if (!g.frame()->SnapshotPage(snap, &version, &NodeView::SnapshotBounds)) {
-      continue;
-    }
-    NodeView node(PageView(snap).data());
-
-    // Split detection (Figure 2) against the consistent copy.
-    if (node.nsn() > memorized && node.rightlink() != kInvalidPageId &&
-        pushed.count(node.rightlink()) == 0) {
-      bool already = false;
-      for (const auto& s : *stack) {
-        if (s.page == node.rightlink() && s.nsn == memorized) already = true;
-      }
-      if (!already) {
-        // Blocking on a LOCK is fine here (we hold no latch, just like the
-        // latched path after it unlatches to wait); only latches are
-        // forbidden inside the optimistic section.
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, node.rightlink()));
-        if (g.frame()->version() != version) {
-          // Node changed while the lock was acquired: the pointer may be
-          // stale (the sibling could since have been retired). Unwind.
-          SignalUnlock(txn, node.rightlink());
-          continue;
-        }
-        stack->push_back({node.rightlink(), memorized});
-        pushed.insert(node.rightlink());
-        stats_.rightlink_follows.Add(1);
-      }
-    }
-
-    if (!node.is_leaf()) {
-      bool invalidated = false;
-      const uint16_t n = node.count();
-      for (uint16_t i = 0; i < n; i++) {
-        if (!ext_->Consistent(node.entry_key(i), query)) continue;
-        const PageId child = static_cast<PageId>(node.entry_value(i));
-        if (pushed.count(child) != 0) continue;
-        GISTCR_RETURN_IF_ERROR(SignalLock(txn, child));
-        if (g.frame()->version() != version) {
-          SignalUnlock(txn, child);
-          invalidated = true;
-          break;
-        }
-        // Version unchanged after the lock: the parent entry still points
-        // at child, so child was not retired before our signaling lock —
-        // the stacked pointer is deletion-protected from here (section
-        // 7.2), exactly the guarantee the latched read derives from its
-        // S latch.
-        stack->push_back({child, cur});
-        pushed.insert(child);
-      }
-      if (invalidated) continue;
-      g.Drop();
-      SignalUnlock(txn, page);
-      return Status::OK();
-    }
-
-    // Leaf: emit qualifying entries. `seen` makes attempt restarts exact —
-    // entries committed by a previous attempt are skipped, entries the
-    // invalidation interrupted are re-scanned.
-    bool invalidated = false;
-    const uint16_t n = node.count();
-    for (uint16_t i = 0; i < n; i++) {
-      if (!ext_->Consistent(node.entry_key(i), query)) continue;
-      if (node.entry_del_txn(i) == txn->id()) continue;  // own logical delete
-      const uint64_t rid = node.entry_value(i);
-      if (seen->count(rid) != 0) continue;
-      if (lock_rids) {
-        Status st = ctx_.locks->Lock(txn->id(),
-                                     LockName{LockSpace::kRecord, rid},
-                                     LockMode::kShared, /*wait=*/false);
-        if (st.IsBusy()) {
-          // Block without any latch held (the latched path must first
-          // unlatch to get here — we are already there), then re-copy:
-          // the owner's commit may have changed the entry's del_txn.
-          stats_.rid_lock_waits.Add(1);
-          st = ctx_.locks->Lock(txn->id(), LockName{LockSpace::kRecord, rid},
-                                LockMode::kShared, /*wait=*/true);
-          GISTCR_RETURN_IF_ERROR(st);
-          invalidated = true;
-          break;
-        }
-        GISTCR_RETURN_IF_ERROR(st);
-        if (g.frame()->version() != version) {
-          // The S lock is held (2PL keeps it), but the snapshot's del_txn
-          // can no longer be trusted; re-copy and re-judge this entry.
-          invalidated = true;
-          break;
-        }
-      }
-      if (node.entry_del_txn(i) != kInvalidTxnId) {
-        // Marked in a copy validated while we hold the S lock: the
-        // deleter committed; the entry is logically gone.
-        continue;
-      }
-      seen->insert(rid);
-      out->push_back({node.entry_key(i).ToString(), Rid::Unpack(rid)});
-    }
-    if (invalidated) continue;
-    g.Drop();
-    SignalUnlock(txn, page);
-    return Status::OK();
+StatusOr<Gist::Pass> Gist::ScanNode(const ReadOp& op, const StackEntry& e,
+                                    const NodeImage& img,
+                                    std::unordered_set<PageId>* pushed,
+                                    PendingWait* wait) {
+  const NodeView& node = img.node;
+  *wait = PendingWait{};
+  // Split detection (Figure 2): the node split after its pointer was
+  // memorized; the right sibling must also be visited, with the same
+  // memorized value. The image is S-latched or a validated copy.
+  // gistcr-lint: allow(nsn-outside-node)
+  const PageId right = node.nsn() > e.nsn ? node.rightlink() : kInvalidPageId;
+  if (LinkProtocol() && right != kInvalidPageId && pushed->count(right) == 0) {
+    auto ok = PushEntry(op, img, {right, e.nsn}, pushed);
+    GISTCR_RETURN_IF_ERROR(ok.status());
+    if (!ok.value()) return Pass::kInvalid;
+    stats_.rightlink_follows.Add(1);
+    obs::BumpRestarts();
   }
 
-  // Restart budget exhausted: hand the node to the latched path. Children
-  // already pushed stay pushed — the latched visit may push them again,
-  // which costs a duplicate (signal-lock-balanced) visit but no duplicate
-  // results (`seen`).
-  stats_.read_fallbacks.Add(1);
-  *fallback = true;
-  g.Drop();
+  const uint16_t n = node.count();
+  if (!node.is_leaf()) {
+    for (uint16_t i = 0; i < n; i++) {
+      if (!ext_->Consistent(node.entry_key(i), op.query)) continue;
+      const PageId child = static_cast<PageId>(node.entry_value(i));
+      if (pushed->count(child) != 0) continue;
+      auto ok = PushEntry(op, img, {child, img.cur}, pushed);
+      GISTCR_RETURN_IF_ERROR(ok.status());
+      if (!ok.value()) return Pass::kInvalid;
+    }
+    if (op.hybrid_attach) AttachLocked(op, e.page, /*leaf=*/false, wait);
+    return Pass::kDone;
+  }
+
+  // Leaf: verdicts are staged and published only if the image is still
+  // valid after the loop. A copy's del_txn marks, and the version store
+  // Visible() consults, are trustworthy only as of an unchanged version;
+  // record locks taken along the way stay held (2PL). Store mutations
+  // that matter pair with a page write on this leaf; the unpaired ones
+  // (commit stamping, pruning) preserve every registered snapshot's
+  // verdicts.
+  if (op.snapshot) GISTCR_CRASHPOINT("search.mvcc_visibility");
+  std::vector<std::pair<uint64_t, SearchResult>> staged;
+  for (uint16_t i = 0; i < n; i++) {
+    if (!ext_->Consistent(node.entry_key(i), op.query)) continue;
+    const uint64_t rid = node.entry_value(i);
+    if (op.seen->count(rid) != 0) continue;
+    bool admit = false;
+    if (op.snapshot) {
+      admit = AdmitSnapshot(op, rid, node.entry_del_txn(i));
+    } else {
+      GISTCR_RETURN_IF_ERROR(
+          AdmitLocked(op, rid, node.entry_del_txn(i), &admit, wait));
+      if (wait->rid) return Pass::kWait;
+    }
+    if (admit) {
+      staged.emplace_back(
+          rid, SearchResult{node.entry_key(i).ToString(), Rid::Unpack(rid)});
+    }
+  }
+  if (!img.Valid()) return Pass::kInvalid;
+  for (auto& r : staged) {
+    op.seen->insert(r.first);
+    op.out->push_back(std::move(r.second));
+  }
+  if (op.hybrid_attach) {
+    AttachLocked(op, e.page, /*leaf=*/true, wait);
+    // The conflicting insert's entry is visible on the re-read.
+    if (!wait->owners.empty()) return Pass::kWait;
+  }
+  return Pass::kDone;
+}
+
+StatusOr<bool> Gist::PushEntry(const ReadOp& op, const NodeImage& img,
+                               StackEntry entry,
+                               std::unordered_set<PageId>* pushed) {
+  if (!op.snapshot) {
+    // Blocking on a LOCK is fine on a copy (no latch is held) and under an
+    // S latch alike (signal locks conflict only with node retirement's X).
+    GISTCR_RETURN_IF_ERROR(SignalLock(op.txn, entry.page));
+    // Version unchanged after the lock: the parent still held the pointer,
+    // so the node was not retired before the lock landed -- the guarantee
+    // the latched read derives from its S latch.
+    if (!img.Valid()) {
+      SignalUnlock(op.txn, entry.page);
+      return false;
+    }
+  }
+  // Snapshot readers stack bare pointers: the registered snapshot defers
+  // node retirement (MvccManager::CanRetireNodes), and a validated copy
+  // proves the parent held the pointer at copy time.
+  op.stack->push_back(entry);
+  pushed->insert(entry.page);
+  return true;
+}
+
+Status Gist::AdmitLocked(const ReadOp& op, uint64_t rid, TxnId del_txn,
+                         bool* admit, PendingWait* wait) {
+  *admit = false;
+  if (del_txn == op.txn->id()) return Status::OK();  // own logical delete
+  Status st = ctx_.locks->Lock(op.txn->id(), LockName{LockSpace::kRecord, rid},
+                               LockMode::kShared, /*wait=*/false);
+  if (st.IsBusy()) {
+    stats_.rid_lock_waits.Add(1);
+    wait->rid = rid;
+    return Status::OK();
+  }
+  GISTCR_RETURN_IF_ERROR(st);
+  // Still marked once the S lock is held: the deleter committed; the entry
+  // is logically gone.
+  *admit = del_txn == kInvalidTxnId;
   return Status::OK();
 }
 
-}  // namespace gistcr\n
+void Gist::AttachLocked(const ReadOp& op, PageId page, bool leaf,
+                        PendingWait* wait) {
+  if (!leaf) {
+    ctx_.preds->Attach(page, op.txn->id(), op.op_id, op.attach_kind,
+                       op.query);
+    return;
+  }
+  // FIFO fairness (section 10.3): block behind conflicting insert
+  // predicates attached ahead of ours.
+  wait->owners = ctx_.preds->AttachAndFindConflicts(
+      page, op.txn->id(), op.op_id, op.attach_kind, op.query,
+      [&](const PredAttachment& a) {
+        return a.kind == PredKind::kInsert &&
+               ext_->Consistent(a.pred, op.query);
+      });
+  if (!wait->owners.empty()) stats_.predicate_waits.Add(1);
+}
+
+Status Gist::WaitLocked(const ReadOp& op, const PendingWait& wait) {
+  if (wait.rid) {
+    GISTCR_RETURN_IF_ERROR(ctx_.locks->Lock(
+        op.txn->id(), LockName{LockSpace::kRecord, *wait.rid},
+        LockMode::kShared, /*wait=*/true));
+  }
+  for (TxnId owner : wait.owners) {
+    GISTCR_RETURN_IF_ERROR(ctx_.locks->WaitForTxn(op.txn->id(), owner));
+  }
+  return Status::OK();
+}
+
+bool Gist::AdmitSnapshot(const ReadOp& op, uint64_t rid,
+                         TxnId del_txn) const {
+  return ctx_.mvcc->Visible(rid, del_txn, op.txn->snapshot_lsn());
+}
+
+}  // namespace gistcr

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -122,11 +123,13 @@ struct GistStats {
   obs::Counter& gc_removed;
   obs::Counter& nodes_deleted;
   /// Optimistic read path (DESIGN.md section 13): node visits served from
-  /// version-validated snapshots, visits that re-copied after a failed
-  /// validation, and visits that exhausted their restart budget and fell
-  /// back to the latched path.
+  /// version-validated snapshots; copies that failed validation (the only
+  /// thing that spends the restart budget); copies that found a writer
+  /// holding the page and waited for it instead; and reads that exhausted
+  /// a limit and fell back to the latched path.
   obs::Counter& optimistic_visits;
   obs::Counter& read_restarts;
+  obs::Counter& read_writer_waits;
   obs::Counter& read_fallbacks;
 };
 
@@ -159,7 +162,8 @@ class Gist {
 
   /// SEARCH: all leaf entries consistent with \p query, S-locking result
   /// RIDs and (at repeatable read) attaching the search predicate top-down
-  /// to every visited node.
+  /// to every visited node; snapshot transactions filter by MVCC
+  /// visibility instead and take no locks.
   Status Search(Transaction* txn, Slice query,
                 std::vector<SearchResult>* out);
 
@@ -216,6 +220,8 @@ class Gist {
   // --- shared helpers -------------------------------------------------
   StatusOr<PageId> GetRoot();
   Status FetchLatched(PageId pid, bool exclusive, PageGuard* out);
+  /// Latches a pinned guard, recording the wait in gist.latch_wait_ns.
+  void Latch(PageGuard* g, bool exclusive);
   bool NodeIsFull(NodeView& node, const IndexEntry& e) const;
   bool LinkProtocol() const {
     return opts_.protocol != ConcurrencyProtocol::kUnsafeNoLink;
@@ -241,79 +247,121 @@ class Gist {
   Status SignalLock(Transaction* txn, PageId node);
   void SignalUnlock(Transaction* txn, PageId node);
 
-  // --- search ----------------------------------------------------------
-  /// Core traversal shared by Search, Delete-locate and unique probes.
-  /// \p attach_kind: predicate kind to attach (kSearch for scans at RR,
-  /// kUniqueProbe for unique-insert probes); pass kInsert to attach
-  /// nothing. \p lock_rids: S-lock result RIDs (2PL).
-  Status SearchInternal(Transaction* txn, Slice query, PredKind attach_kind,
-                        bool attach, bool lock_rids, uint64_t op_id,
-                        std::vector<SearchResult>* out);
+  // --- search (Figure 3) ---------------------------------------------
+  /// One read traversal. Every node visit varies on two independent axes
+  /// (DESIGN.md section 13.2):
+  ///  - node access: an S-latched frame, or a seqlock copy validated
+  ///    against the frame version with the latched fallback after
+  ///    kOptimisticMaxAttempts (\p optimistic);
+  ///  - leaf admission: 2PL -- signaling locks on stacked pointers, S
+  ///    record locks, hybrid predicate attach -- or MVCC visibility with
+  ///    zero lock-manager calls (\p snapshot, section 14.3).
+  struct ReadOp {
+    Transaction* txn = nullptr;
+    Slice query;
+    PredKind attach_kind = PredKind::kSearch;
+    uint64_t op_id = 0;
+    bool snapshot = false;
+    /// 2PL predicate attach (RR scans, unique probes): per visited node
+    /// (kHybrid) or once up front (kGlobal).
+    bool hybrid_attach = false;
+    bool global_attach = false;
+    bool optimistic = false;
+    /// kCoarse tree latch, dropped across blocking waits (may be null).
+    internal::TreeLatch* tree = nullptr;
+    std::vector<StackEntry>* stack = nullptr;
+    std::unordered_set<uint64_t>* seen = nullptr;  ///< emitted rids
+    std::vector<SearchResult>* out = nullptr;
+  };
 
-  /// Processes one popped stack entry per Figure 3: split compensation,
-  /// child pushes with signaling locks (internal) or qualifying-entry
-  /// collection with RID locks and predicate fairness (leaf). Shared by
-  /// SearchInternal and GistCursor. \p tree may be null (no coarse latch
-  /// re-acquisition around lock waits).
-  Status ProcessStackEntry(Transaction* txn, PageId page, Nsn memorized,
-                           Slice query, PredKind attach_kind,
-                           bool hybrid_attach, bool lock_rids,
-                           uint64_t op_id,
-                           std::vector<StackEntry>* stack,
-                           std::unordered_set<uint64_t>* seen,
-                           std::vector<SearchResult>* out,
-                           internal::TreeLatch* tree);
+  /// What one pass over a node image left to do.
+  enum class Pass : uint8_t {
+    kDone,
+    kInvalid,  ///< the seqlock copy went stale under a side effect
+    kWait,     ///< a blocking wait is pending; re-read the node after it
+  };
 
-  /// Latch-free variant of ProcessStackEntry (DESIGN.md section 13): pins
-  /// the node, copies it into a local snapshot, validates the frame's
-  /// version word, and operates on the copy. Every side effect (child
-  /// push, rightlink push, emitted result) is individually re-validated
-  /// against the version before it is committed; an invalidated attempt
-  /// re-copies. After a bounded number of failed attempts it sets
-  /// \p *fallback and returns OK with the node unprocessed — the caller
-  /// re-runs it through the latched ProcessStackEntry (guaranteed
-  /// progress). Only called when UseOptimisticReads() holds, so there is
-  /// no predicate attach and no coarse tree latch to manage.
-  Status ProcessStackEntryOptimistic(Transaction* txn, PageId page,
-                                     Nsn memorized, Slice query,
-                                     bool lock_rids,
-                                     std::vector<StackEntry>* stack,
-                                     std::unordered_set<uint64_t>* seen,
-                                     std::vector<SearchResult>* out,
-                                     bool* fallback);
+  /// A node image a pass reads: the S-latched frame (\p frame null) or a
+  /// seqlock copy consistent with \p version. \p cur is the global NSN
+  /// memorized before the image was read (Figure 3).
+  struct NodeImage {
+    NodeView node;
+    Nsn cur;
+    const Frame* frame = nullptr;
+    uint64_t version = 0;
+    bool Valid() const {
+      return frame == nullptr || frame->version() == version;
+    }
+  };
 
-  /// Snapshot-read traversal (DESIGN.md section 14): serves a read-only
-  /// snapshot transaction from the versioned leaf store. Makes ZERO lock
-  /// manager calls — no RID S-locks (visibility replaces 2PL), no
-  /// predicate attaches (the snapshot never conflicts with later writers),
-  /// and no signaling locks (node retirement is deferred wholesale while
-  /// any snapshot is active; see MvccManager::CanRetireNodes). Latches and
-  /// version-validated optimistic reads remain fair game — only the lock
-  /// manager is off-limits, which the zero-lock acceptance test asserts
-  /// via the lock.acquires counter and tools/gistcr_lint.py enforces
-  /// statically for predicate attaches.
-  Status SearchSnapshot(Transaction* txn, Slice query,
-                        std::vector<SearchResult>* out);
+  /// The blocking wait a leaf pass needs, performed with no latch held
+  /// (section 5): the S lock on \p rid, or the end of every conflicting
+  /// predicate owner.
+  struct PendingWait {
+    std::optional<uint64_t> rid;
+    std::vector<TxnId> owners;
+  };
 
-  /// One node visit of the snapshot traversal, optimistic flavor: copy,
-  /// validate, push children / emit Visible() leaf entries from the copy.
-  /// Sets \p *fallback after the restart budget is exhausted; the caller
-  /// re-runs the visit through ProcessStackEntrySnapshotLatched.
-  Status ProcessStackEntrySnapshot(Transaction* txn, PageId page,
-                                   Nsn memorized, Slice query, Lsn snap,
-                                   std::vector<StackEntry>* stack,
-                                   std::unordered_set<uint64_t>* seen,
-                                   std::vector<SearchResult>* out,
-                                   bool* fallback);
+  ReadOp MakeReadOp(Transaction* txn, Slice query, PredKind attach_kind,
+                    bool attach, uint64_t op_id) const;
 
-  /// Latched flavor of the snapshot visit (optimistic disabled or budget
-  /// exhausted): S-latches the node — still zero lock-manager calls.
-  Status ProcessStackEntrySnapshotLatched(Transaction* txn, PageId page,
-                                          Nsn memorized, Slice query,
-                                          Lsn snap,
-                                          std::vector<StackEntry>* stack,
-                                          std::unordered_set<uint64_t>* seen,
-                                          std::vector<SearchResult>* out);
+  /// Search and the unique-insert probe: the kGlobal pre-attach, then the
+  /// whole traversal under the coarse tree latch.
+  Status SearchInternal(ReadOp op);
+
+  /// Pushes the root, memorizing the global NSN before reading the root
+  /// pointer (Figure 3 applied to the root pointer).
+  Status PushRoot(const ReadOp& op);
+
+  /// Pops and visits stack entries until the stack is empty or, with
+  /// \p until_result, a visit emitted results (GistCursor).
+  Status Drain(const ReadOp& op, bool until_result);
+
+  /// One popped stack entry: optimistic passes over seqlock copies, then
+  /// latched passes if the budget ran out or optimistic access is off.
+  Status VisitNode(const ReadOp& op, const StackEntry& e);
+
+  /// Figure 3 on one node image: split detection and the rightlink push,
+  /// then child pushes or the leaf entry loop. \p pushed dedupes pushes
+  /// across the passes of one visit. Makes no lock-manager call itself.
+  StatusOr<Pass> ScanNode(const ReadOp& op, const StackEntry& e,
+                          const NodeImage& img,
+                          std::unordered_set<PageId>* pushed,
+                          PendingWait* wait);
+
+  /// Stacks one pointer read from \p img. 2PL readers signal-lock it first
+  /// (section 7.2) and return false when \p img went stale meanwhile (the
+  /// pointer may since have been retired).
+  StatusOr<bool> PushEntry(const ReadOp& op, const NodeImage& img,
+                           StackEntry entry,
+                           std::unordered_set<PageId>* pushed);
+
+  /// 2PL leaf admission of one entry: skip the reader's own deletes,
+  /// try-S-lock the record (busy: \p wait), drop committed deletes.
+  Status AdmitLocked(const ReadOp& op, uint64_t rid, TxnId del_txn,
+                     bool* admit, PendingWait* wait);
+
+  /// 2PL hybrid predicate attach on a visited node; on a leaf, conflicting
+  /// insert predicates attached ahead of it become \p wait (section 10.3).
+  void AttachLocked(const ReadOp& op, PageId page, bool leaf,
+                    PendingWait* wait);
+
+  /// Performs \p wait (2PL only; the caller holds no latch).
+  Status WaitLocked(const ReadOp& op, const PendingWait& wait);
+
+  /// MVCC leaf admission: MvccManager::Visible, zero lock-manager calls
+  /// (tools/gistcr_lint.py checks Snapshot-named functions for that).
+  bool AdmitSnapshot(const ReadOp& op, uint64_t rid, TxnId del_txn) const;
+
+  /// The seqlock reader (DESIGN.md section 13.2) shared by node visits and
+  /// GetRoot: runs \p body(copy, version) on validated copies of \p frame
+  /// until it returns kDone (true). kWait re-copies for free; an odd
+  /// version waits for the writer without spending the budget; a failed
+  /// validation or kInvalid spends one of kOptimisticMaxAttempts. Returns
+  /// false once a limit is hit: the caller takes the S latch instead.
+  template <typename Body>
+  StatusOr<bool> ReadOptimistic(Frame* frame, Frame::SnapshotBoundsFn bounds,
+                                Body&& body);
 
   friend class GistCursor;
 

@@ -72,7 +72,7 @@ Status Gist::ChaseForPenalty(Transaction* txn, PageGuard* g, Nsn delimiter,
 Status Gist::LocateLeaf(Transaction* txn, Slice key,
                         std::vector<StackEntry>* stack, PageGuard* leaf) {
   // Memorize BEFORE reading the root pointer (same ordering rule as
-  // SearchInternal): a root grow in the window must carry an NSN above the
+  // PushRoot): a root grow in the window must carry an NSN above the
   // memorized value or the chase below cannot detect it.
   Nsn p_nsn = ctx_.nsn->Current();
   auto root_or = GetRoot();
@@ -926,9 +926,10 @@ Status Gist::InsertUnique(Transaction* txn, Slice key, Rid rid) {
   // visited node so racing unique inserts of the same value deadlock
   // rather than both succeeding.
   std::vector<SearchResult> results;
-  Status st = SearchInternal(txn, eq, PredKind::kUniqueProbe,
-                             /*attach=*/true, /*lock_rids=*/true, op_id,
-                             &results);
+  ReadOp probe = MakeReadOp(txn, eq, PredKind::kUniqueProbe,
+                            /*attach=*/true, op_id);
+  probe.out = &results;
+  Status st = SearchInternal(probe);
   if (!st.ok()) {
     return st;
   }

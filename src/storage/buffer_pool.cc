@@ -24,6 +24,7 @@ size_t AutoShards(size_t num_frames) {
 bool Frame::SnapshotPage(char* dst, uint64_t* version,
                          SnapshotBoundsFn bounds) const {
   const uint64_t v1 = version_.load(std::memory_order_acquire);
+  *version = v1;
   if ((v1 & 1) != 0) return false;  // writer in progress
   // Seqlock copy: deliberately racy against a concurrent writer; the
   // re-validation below discards any torn copy. TSan cannot model this
@@ -45,10 +46,18 @@ bool Frame::SnapshotPage(char* dst, uint64_t* version,
   if (tail_begin < kPageSize) {
     std::memcpy(dst + tail_begin, data_ + tail_begin, kPageSize - tail_begin);
   }
+#if GISTCR_TSAN
+  // TSan does not model standalone fences (GCC rejects them under
+  // -Wtsan). An acquire-release read-modify-write that adds nothing is
+  // the fence-free seqlock reader (Boehm, "Can seqlocks get along with
+  // programming language memory models?"): its release half keeps the
+  // copy's loads above it. It writes the version's cache line, so only
+  // sanitizer builds pay for it.
+  return version_.fetch_add(0, std::memory_order_acq_rel) == v1;
+#else
   std::atomic_thread_fence(std::memory_order_acquire);
-  if (version_.load(std::memory_order_acquire) != v1) return false;
-  *version = v1;
-  return true;
+  return version_.load(std::memory_order_acquire) == v1;
+#endif
 }
 
 BufferPool::BufferPool(DiskManager* disk, size_t num_frames,

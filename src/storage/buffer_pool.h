@@ -82,10 +82,11 @@ class Frame {
   using SnapshotBoundsFn = void (*)(const char* page, uint32_t* head_len,
                                     uint32_t* tail_begin);
 
-  /// Copies the page into \p dst (kPageSize bytes) without latching. On
-  /// success stores the version the copy is consistent with in \p version
-  /// and returns true; returns false when a writer was active or raced the
-  /// copy (retry or fall back to a latched read). The caller must hold a
+  /// Copies the page into \p dst (kPageSize bytes) without latching.
+  /// Stores the version read before the copy in \p version and returns
+  /// true when the copy is consistent with it; returns false when a writer
+  /// was active (\p version odd) or raced the copy (retry or fall back to
+  /// a latched read). The caller must hold a
   /// pin — the pin is this pool's safe-memory reclamation: eviction never
   /// selects a pinned frame, so data_ and page_id_ are stable for the
   /// duration. Out-of-line so the tsan.suppressions entry matches the
@@ -128,8 +129,9 @@ class Frame {
   /// Seqlock word (see version() above). Re-seeded from the page_lsn on
   /// every frame fill, and the fill/reformat paths pass through an odd
   /// value first so a concurrent snapshot can never validate against a
-  /// half-filled image.
-  std::atomic<uint64_t> version_{0};
+  /// half-filled image. Mutable for SnapshotPage's sanitizer-build
+  /// read-modify-write re-read, which stores the value it read.
+  mutable std::atomic<uint64_t> version_{0};
   char* data_ = nullptr;
   Mutex* shard_mu_ = nullptr;  ///< owning shard's mutex; set once in ctor
   SharedMutex latch_;

@@ -19,6 +19,19 @@
     }                                                                      \
   } while (0)
 
+/// 1 in ThreadSanitizer builds (GCC defines __SANITIZE_THREAD__; Clang
+/// reports the feature), else 0.
+#if defined(__SANITIZE_THREAD__)
+#define GISTCR_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GISTCR_TSAN 1
+#endif
+#endif
+#ifndef GISTCR_TSAN
+#define GISTCR_TSAN 0
+#endif
+
 /// Like GISTCR_CHECK but compiled out in NDEBUG builds; for hot paths.
 #ifdef NDEBUG
 #define GISTCR_DCHECK(cond) \

@@ -17,7 +17,9 @@ using namespace std::chrono_literals;
 
 class CursorTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { SetUpDb(/*optimistic=*/true); }
+
+  void SetUpDb(bool optimistic) {
     path_ = TestPath("cursor");
     RemoveDbFiles(path_);
     DatabaseOptions opts;
@@ -28,6 +30,7 @@ class CursorTest : public ::testing::Test {
     db_ = db_or.MoveValue();
     GistOptions gopts;
     gopts.max_entries = 8;
+    gopts.optimistic_reads = optimistic;
     ASSERT_OK(db_->CreateIndex(1, &ext_, gopts));
     gist_ = db_->GetIndex(1).value();
   }
@@ -51,25 +54,82 @@ class CursorTest : public ::testing::Test {
   Gist* gist_ = nullptr;
 };
 
-TEST_F(CursorTest, IteratesAllMatchesOnce) {
-  Preload(200);
-  Transaction* txn = db_->Begin();
-  GistCursor cursor(gist_, txn, BtreeExtension::MakeRange(50, 149));
-  ASSERT_OK(cursor.Open());
-  std::set<int64_t> found;
-  for (;;) {
-    SearchResult r;
-    bool done = false;
-    ASSERT_OK(cursor.Next(&r, &done));
-    if (done) break;
-    EXPECT_TRUE(found.insert(BtreeExtension::Lo(r.key)).second)
-        << "duplicate " << BtreeExtension::Lo(r.key);
+// The cursor and Gist::Search share one traversal; run both in every
+// isolation level the wire SEARCH serves (read committed, repeatable read,
+// snapshot) with optimistic node access on and off.
+using CursorMode = std::tuple<IsolationLevel, bool>;  // (isolation, optimistic)
+
+class CursorModeTest : public CursorTest,
+                       public ::testing::WithParamInterface<CursorMode> {
+ protected:
+  void SetUp() override { SetUpDb(std::get<1>(GetParam())); }
+  IsolationLevel isolation() const { return std::get<0>(GetParam()); }
+
+  // Drains a cursor over \p query, checking each key comes back once.
+  std::set<int64_t> DrainCursor(Transaction* txn, const std::string& query) {
+    GistCursor cursor(gist_, txn, query);
+    EXPECT_OK(cursor.Open());
+    std::set<int64_t> found;
+    for (;;) {
+      SearchResult r;
+      bool done = false;
+      EXPECT_OK(cursor.Next(&r, &done));
+      if (done) break;
+      EXPECT_TRUE(found.insert(BtreeExtension::Lo(r.key)).second)
+          << "duplicate " << BtreeExtension::Lo(r.key);
+    }
+    return found;
   }
+};
+
+TEST_P(CursorModeTest, IteratesAllMatchesOnce) {
+  Preload(200);
+  Transaction* txn = db_->Begin(isolation());
+  const std::set<int64_t> found =
+      DrainCursor(txn, BtreeExtension::MakeRange(50, 149));
   EXPECT_EQ(found.size(), 100u);
   EXPECT_EQ(*found.begin(), 50);
   EXPECT_EQ(*found.rbegin(), 149);
   ASSERT_OK(db_->Commit(txn));
 }
+
+TEST_P(CursorModeTest, MatchesBatchSearchResults) {
+  Preload(300);
+  // Logically delete a stripe so admission (2PL delete marks, MVCC
+  // visibility) has entries to reject.
+  Transaction* del = db_->Begin();
+  std::vector<SearchResult> doomed;
+  ASSERT_OK(gist_->Search(del, BtreeExtension::MakeRange(100, 149), &doomed));
+  for (const auto& r : doomed) {
+    ASSERT_OK(db_->DeleteRecord(del, gist_, r.key, r.rid));
+  }
+  ASSERT_OK(db_->Commit(del));
+
+  Transaction* txn = db_->Begin(isolation());
+  std::vector<SearchResult> batch;
+  ASSERT_OK(gist_->Search(txn, BtreeExtension::MakeRange(0, 299), &batch));
+  std::set<int64_t> want;
+  for (const auto& r : batch) want.insert(BtreeExtension::Lo(r.key));
+  EXPECT_EQ(want.size(), batch.size());
+  EXPECT_EQ(want.size(), 250u);
+  EXPECT_EQ(DrainCursor(txn, BtreeExtension::MakeRange(0, 299)), want);
+  ASSERT_OK(db_->Commit(txn));
+}
+
+std::string CursorModeName(const ::testing::TestParamInfo<CursorMode>& info) {
+  static const char* const kIsolation[] = {"rc", "rr", "snapshot"};
+  std::string name = kIsolation[static_cast<int>(std::get<0>(info.param))];
+  name += std::get<1>(info.param) ? "_optimistic" : "_latched";
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CursorModeTest,
+    ::testing::Combine(::testing::Values(IsolationLevel::kReadCommitted,
+                                         IsolationLevel::kRepeatableRead,
+                                         IsolationLevel::kSnapshot),
+                       ::testing::Bool()),
+    CursorModeName);
 
 TEST_F(CursorTest, EmptyRangeTerminatesImmediately) {
   Preload(20);
@@ -80,25 +140,6 @@ TEST_F(CursorTest, EmptyRangeTerminatesImmediately) {
   bool done = false;
   ASSERT_OK(cursor.Next(&r, &done));
   EXPECT_TRUE(done);
-  ASSERT_OK(db_->Commit(txn));
-}
-
-TEST_F(CursorTest, MatchesBatchSearchResults) {
-  Preload(300);
-  Transaction* txn = db_->Begin();
-  std::vector<SearchResult> batch;
-  ASSERT_OK(gist_->Search(txn, BtreeExtension::MakeRange(0, 299), &batch));
-  GistCursor cursor(gist_, txn, BtreeExtension::MakeRange(0, 299));
-  ASSERT_OK(cursor.Open());
-  size_t n = 0;
-  for (;;) {
-    SearchResult r;
-    bool done = false;
-    ASSERT_OK(cursor.Next(&r, &done));
-    if (done) break;
-    n++;
-  }
-  EXPECT_EQ(n, batch.size());
   ASSERT_OK(db_->Commit(txn));
 }
 

@@ -148,7 +148,8 @@ Usage
   gistcr_lint.py --dot FILE <path>  also write the merged lock graph (DOT)
   gistcr_lint.py --self-test <dir>  run the fixture expectations in <dir>:
                                     *_bad.cc must trigger the rule named by
-                                    its basename, *_good.cc must be clean
+                                    its basename (before any `__variant`),
+                                    *_good.cc must be clean
 """
 
 import os
@@ -820,8 +821,8 @@ SERIALIZE_RE = re.compile(
 )
 
 # predicate-attach-on-snapshot-path: function-definition detection for the
-# snapshot read path (distinctly named Snapshot* family: SearchSnapshot,
-# ProcessStackEntrySnapshot[Latched], ...) and the calls banned inside it.
+# snapshot read path (distinctly named Snapshot* family: the MVCC leaf
+# admission Gist::AdmitSnapshot, ...) and the calls banned inside it.
 # The signature regex anchors at line start so receiver-qualified *calls*
 # (`mvcc->BeginSnapshot(...)`) never match.
 SNAPSHOT_SIG_RE = re.compile(
@@ -1338,7 +1339,9 @@ def self_test(fixture_dir):
         rules_hit = {rule for (_l, rule, _m) in findings}
         base = f[:-3]
         if base.endswith("_bad"):
-            expected = base[: -len("_bad")].replace("_", "-")
+            # `<rule>__<variant>_bad.cc`: several fixtures for one rule.
+            stem = base[: -len("_bad")].split("__", 1)[0]
+            expected = stem.replace("_", "-")
             if expected not in RULES:
                 failures.append(f"{f}: unknown rule '{expected}'")
             elif expected not in rules_hit:
