@@ -72,9 +72,11 @@ enum class LockRank : uint16_t {
   kLockTxnShard = 520,
   kLockPending = 540,
 
-  // Predicate table (attached while the node latch is held) and the
-  // transaction table.
+  // Predicate table (attached while the node latch is held), the heap's
+  // reusable-slot queue (fed under a leaf latch by GC; reads the next txn
+  // id under its mutex) and the transaction table.
   kPredicates = 560,
+  kHeapReuse = 570,
   kTxnManager = 580,
 
   // MVCC bookkeeping. Never nested among themselves; Visible() is called

@@ -10,6 +10,22 @@
 
 namespace gistcr {
 
+namespace {
+
+/// Queued slots one Insert tries before it appends instead (a try lock or
+/// the page re-check can reject a candidate).
+constexpr int kReuseAttempts = 4;
+
+}  // namespace
+
+void DataStore::AttachMetrics(obs::MetricsRegistry* reg) {
+  reg = obs::MetricsRegistry::OrFallback(reg);
+  m_freed_ = reg->GetCounter("heap.slots_freed");
+  m_reused_ = reg->GetCounter("heap.slots_reused");
+  m_dropped_ = reg->GetCounter("heap.slots_dropped");
+  m_queued_ = reg->GetGauge("heap.slots_queued");
+}
+
 StatusOr<PageId> DataStore::CreateFresh(PageId first_page) {
   auto frame_or = pool_->NewPage(first_page);
   GISTCR_RETURN_IF_ERROR(frame_or.status());
@@ -95,10 +111,117 @@ Status DataStore::GrowChain(Transaction* txn) {
   return Status::OK();
 }
 
+void DataStore::FreeSlot(Rid rid) {
+  m_freed_->Add(1);
+  MutexLock l(reuse_mu_);
+  if (queued_.load(std::memory_order_relaxed) >= kMaxQueuedSlots) {
+    m_dropped_->Add(1);
+    return;
+  }
+  // Stamped under reuse_mu_, so stamps are non-decreasing in queue order.
+  // Every transaction that could have found this Rid before its entry went
+  // away began before this read, i.e. has a smaller id.
+  Enqueue(rid, txns_->NextTxnId());
+}
+
+void DataStore::Enqueue(Rid rid, TxnId stamp) {
+  std::deque<FreedSlot>& slots = free_[rid.page_id];
+  if (slots.empty()) by_stamp_.emplace(stamp, rid.page_id);
+  slots.push_back(FreedSlot{rid.slot, stamp});
+  m_queued_->Set(static_cast<double>(queued_.fetch_add(1) + 1));
+}
+
+bool DataStore::PopReusable(TxnId horizon, Rid* rid, TxnId* stamp) {
+  auto it = free_.find(reuse_page_);
+  if (it == free_.end() || it->second.front().stamp > horizon) {
+    // The reuse page is used up (or its remaining slots are too young):
+    // move to the page whose oldest slot is oldest.
+    if (by_stamp_.empty() || by_stamp_.begin()->first > horizon) return false;
+    reuse_page_ = by_stamp_.begin()->second;
+    it = free_.find(reuse_page_);
+  }
+  std::deque<FreedSlot>& slots = it->second;
+  by_stamp_.erase({slots.front().stamp, reuse_page_});
+  rid->page_id = reuse_page_;
+  rid->slot = slots.front().slot;
+  *stamp = slots.front().stamp;
+  slots.pop_front();
+  if (slots.empty()) {
+    free_.erase(it);
+  } else {
+    by_stamp_.emplace(slots.front().stamp, reuse_page_);
+  }
+  m_queued_->Set(static_cast<double>(queued_.fetch_sub(1) - 1));
+  return true;
+}
+
+Status DataStore::TryReuse(Transaction* txn, Slice record, Rid* rid) {
+  *rid = Rid();
+  if (queued_.load(std::memory_order_relaxed) == 0) return Status::OK();
+  // Gate (a): a slot stamped s is unreachable once every open transaction
+  // began after the stamp was read (id >= s). The horizon only grows, so
+  // one read serves every candidate below.
+  const TxnId horizon = txns_->OldestOpenTxnId();
+  for (int attempt = 0; attempt < kReuseAttempts; attempt++) {
+    Rid cand;
+    TxnId stamp;
+    {
+      MutexLock l(reuse_mu_);
+      if (!PopReusable(horizon, &cand, &stamp)) return Status::OK();
+    }
+    // Gate (b): X-lock the Rid before writing the slot (paper section 6
+    // step 1), without waiting — a holder means someone still names this
+    // Rid; the slot goes back in the queue for a later insert.
+    const LockName name{LockSpace::kRecord, cand.Pack()};
+    Status st = txns_->locks()->Lock(txn->id(), name, LockMode::kExclusive,
+                                     /*wait=*/false);
+    if (st.IsBusy()) {
+      MutexLock l(reuse_mu_);
+      Enqueue(cand, stamp);
+      continue;
+    }
+    GISTCR_RETURN_IF_ERROR(st);
+    auto frame_or = pool_->Fetch(cand.page_id);
+    if (!frame_or.ok()) {
+      // The append path still works; the slot stays dead.
+      txns_->locks()->Unlock(txn->id(), name);
+      continue;
+    }
+    PageGuard guard(pool_, frame_or.value());
+    guard.WLatch();
+    HeapPageView hv(guard.view().data());
+    // Gate (c): still a tombstone on a heap page, with room for the
+    // record. A slot that fails stays dead and leaves the queue.
+    if (!hv.IsFormatted() || !hv.CanReuse(cand.slot, record.size())) {
+      guard.Drop();
+      txns_->locks()->Unlock(txn->id(), name);
+      continue;
+    }
+    LogRecord rec;
+    rec.type = LogRecordType::kHeapInsert;
+    HeapOpPayload pl;
+    pl.page = cand.page_id;
+    pl.slot = cand.slot;
+    pl.record = record.ToString();
+    pl.EncodeTo(&rec.payload);
+    GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
+    hv.AppendAt(cand.slot, record);
+    guard.view().set_page_lsn(rec.lsn);
+    guard.frame()->MarkDirty(rec.lsn);
+    m_reused_->Add(1);
+    *rid = cand;
+    return Status::OK();
+  }
+  return Status::OK();
+}
+
 StatusOr<Rid> DataStore::Insert(Transaction* txn, Slice record) {
   if (record.size() > kPageSize / 4) {
     return Status::InvalidArgument("record too large");
   }
+  Rid reused;
+  GISTCR_RETURN_IF_ERROR(TryReuse(txn, record, &reused));
+  if (reused.page_id != kInvalidPageId) return reused;
   MutexLock l(mu_);
   for (;;) {
     auto frame_or = pool_->Fetch(tail_);
@@ -125,7 +248,7 @@ StatusOr<Rid> DataStore::Insert(Transaction* txn, Slice record) {
     pl.record = record.ToString();
     pl.EncodeTo(&rec.payload);
     GISTCR_RETURN_IF_ERROR(txns_->AppendTxnLog(txn, &rec));
-    hv.Append(record);
+    hv.AppendAt(slot, record);
     guard.view().set_page_lsn(rec.lsn);
     guard.frame()->MarkDirty(rec.lsn);
     Rid rid;

@@ -69,6 +69,7 @@ GistContext Database::MakeContext() {
   ctx.nsn = nsn_.get();
   ctx.metrics = &metrics_;
   ctx.mvcc = mvcc_.get();
+  ctx.rid_unreferenced = [this](Rid rid) { data_->FreeSlot(rid); };
   return ctx;
 }
 
@@ -123,6 +124,7 @@ Status Database::InitCommon() {
   preds_.AttachMetrics(&metrics_);
   pool_->AttachMetrics(&metrics_);
   txns_->AttachMetrics(&metrics_);
+  data_->AttachMetrics(&metrics_);
   recovery_->AttachMetrics(&metrics_);
   if constexpr (kFaultInjectionCompiled) {
     FaultInjector::Global().AttachMetrics(&metrics_);
@@ -536,7 +538,9 @@ StatusOr<Rid> Database::InsertRecord(Transaction* txn, Gist* index, Slice key,
   auto rid_or = data_->Insert(txn, record);
   GISTCR_RETURN_IF_ERROR(rid_or.status());
   const Rid rid = rid_or.value();
-  // X lock before the index insertion begins (paper section 6, phase 1).
+  // X lock before the index insertion begins (paper section 6, phase 1;
+  // reentrant when the heap reused a dead slot, which it locks before
+  // writing).
   GISTCR_RETURN_IF_ERROR(
       locks_.Lock(txn->id(), LockName{LockSpace::kRecord, rid.Pack()},
                   LockMode::kExclusive));

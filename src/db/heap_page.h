@@ -15,8 +15,10 @@ namespace gistcr {
 ///   [4..7] next_page  (heap pages form a singly linked chain)
 ///   slot array (6 bytes/slot): off u16 | len u16 | flags u16
 ///   record heap grows down from the page end.
-/// Records are immutable; deletes set the kDeletedFlag tombstone (undo of a
-/// delete simply clears it, undo of an insert sets it).
+/// Records are immutable while live; deletes set the kDeletedFlag tombstone
+/// (undo of a delete simply clears it, undo of an insert sets it). A dead
+/// slot may later be overwritten in place by a new record that fits in its
+/// bytes (heap slot reuse, DataStore).
 class HeapPageView {
  public:
   static constexpr uint32_t kHeapHeaderOffset = PageView::kHeaderSize;
@@ -62,11 +64,27 @@ class HeapPageView {
     return slot;
   }
 
-  /// Places a record at a specific slot (redo path; slots appear in LSN
-  /// order, so slot == count() when the record is replayed).
+  /// Places a record at a specific slot, as one Heap-Insert record names
+  /// it (forward execution and redo alike): slot == count() appends; a
+  /// lower slot is a dead slot being reused, overwritten in place. The
+  /// caller checked the slot is tombstoned and CanReuse(slot, len); redo
+  /// replays the same page state, so the check holds there too.
   void AppendAt(uint16_t slot, Slice record) {
-    GISTCR_CHECK(slot == count());
-    Append(record);
+    if (slot == count()) {
+      Append(record);
+      return;
+    }
+    GISTCR_CHECK(slot < count() && record.size() <= slot_len(slot));
+    const uint16_t off = slot_off(slot);
+    std::memcpy(d_ + off, record.data(), record.size());
+    set_slot(slot, off, static_cast<uint16_t>(record.size()), 0);
+  }
+
+  /// May a record of \p len bytes reuse \p slot? Only a tombstoned slot
+  /// whose bytes can hold it (no compaction: a reused slot keeps its
+  /// place in the record heap).
+  bool CanReuse(uint16_t slot, size_t len) const {
+    return SlotExists(slot) && IsDeleted(slot) && len <= slot_len(slot);
   }
 
   bool SlotExists(uint16_t slot) const { return slot < count(); }

@@ -78,6 +78,11 @@ struct GistContext {
   /// layer then downgrades kSnapshot begins to repeatable read, so the
   /// tree never sees a snapshot transaction.
   MvccManager* mvcc = nullptr;
+  /// Told each leaf Rid whose entry garbage collection has physically
+  /// removed (after the removal's nested top action committed): nothing
+  /// in the tree names it any more, so the heap may reuse its slot
+  /// (DataStore::FreeSlot). Null: nobody listens.
+  std::function<void(Rid)> rid_unreferenced;
 };
 
 struct SearchResult {

@@ -725,6 +725,14 @@ Status Gist::LeafGc(Transaction* txn, PageGuard* leaf, uint64_t* removed) {
   GISTCR_RETURN_IF_ERROR(ctx_.txns->NtaEnd(txn, nta));
   *removed += pl.removed.size();
   stats_.gc_removed.Add(pl.removed.size());
+  // The entries are gone for good (the NTA survives any later abort): the
+  // heap may hand their slots to new records once no transaction that
+  // could have found them is still open.
+  if (ctx_.rid_unreferenced) {
+    for (const IndexEntry& e : pl.removed) {
+      ctx_.rid_unreferenced(Rid::Unpack(e.value));
+    }
+  }
   return Status::OK();
 }
 

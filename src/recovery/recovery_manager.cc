@@ -194,7 +194,7 @@ StatusOr<RecoveryManager::CheckpointLsns> RecoveryManager::Checkpoint() {
     pl.dirty_pages.push_back({pid, rec});
     if (rec != kInvalidLsn) out.redo_lsn = std::min(out.redo_lsn, rec);
   }
-  pl.next_txn_id = txns_->NextTxnIdForCheckpoint();
+  pl.next_txn_id = txns_->NextTxnId();
   pl.nsn_counter = nsn_->CounterValue();
   pl.heap_tail = data_->tail();
   if (checkpoint_collect_hook_) checkpoint_collect_hook_();
@@ -1239,7 +1239,16 @@ Status RecoveryManager::UndoRecord(Transaction* txn, const LogRecord& rec) {
     case LogRecordType::kHeapInsert: {
       HeapOpPayload pl;
       if (!pl.DecodeFrom(rec.payload)) return Corrupt("undo heap payload");
-      return data_->ApplyDeleteMark(pl.page, pl.slot, true, crec.lsn, false);
+      GISTCR_RETURN_IF_ERROR(
+          data_->ApplyDeleteMark(pl.page, pl.slot, true, crec.lsn, false));
+      // The insert's leaf entry (logged after it) was undone first, so
+      // the Rid is unreferenced: abort, savepoint rollback and restart
+      // loser undo all hand the slot back for reuse here.
+      Rid rid;
+      rid.page_id = pl.page;
+      rid.slot = pl.slot;
+      data_->FreeSlot(rid);
+      return Status::OK();
     }
     case LogRecordType::kHeapDelete: {
       HeapOpPayload pl;

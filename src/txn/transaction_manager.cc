@@ -299,9 +299,17 @@ void TransactionManager::SetNextTxnId(TxnId next) {
   if (next > next_txn_id_) next_txn_id_ = next;
 }
 
-TxnId TransactionManager::NextTxnIdForCheckpoint() {
+TxnId TransactionManager::NextTxnId() {
   MutexLock l(mu_);
   return next_txn_id_;
+}
+
+TxnId TransactionManager::OldestOpenTxnId() {
+  MutexLock l(mu_);
+  TxnId oldest = next_txn_id_;
+  for (const auto& [id, t] : table_) oldest = std::min(oldest, id);
+  for (const auto& [id, t] : snapshot_table_) oldest = std::min(oldest, id);
+  return oldest;
 }
 
 }  // namespace gistcr

@@ -122,7 +122,16 @@ class TransactionManager {
 
   /// Restart support: analysis pass hands back the next fresh txn id.
   void SetNextTxnId(TxnId next);
-  TxnId NextTxnIdForCheckpoint();
+  /// The id the next Begin will assign (checkpoints persist it; the heap
+  /// stamps freed slots with it).
+  TxnId NextTxnId();
+
+  /// Lowest id of any open transaction — table_ and snapshot readers
+  /// alike — or NextTxnId() when none is open. Every transaction that can
+  /// still hold a Rid it found before some instant t has an id below the
+  /// NextTxnId() read at t, so a slot stamped at t is unreachable once
+  /// this horizon reaches the stamp (DESIGN.md section 14.4).
+  TxnId OldestOpenTxnId();
 
   LockManager* locks() { return locks_; }
   PredicateManager* preds() { return preds_; }

@@ -1,34 +1,58 @@
 #include "util/crc32.h"
 
+#include <array>
+
 namespace gistcr {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t t[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; k++) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+/// Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+/// classic byte-at-a-time table, and t[k][b] is the CRC of byte b followed
+/// by k zero bytes, so eight table lookups advance the CRC by eight input
+/// bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeTables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; i++) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; k++) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; i++) {
+    for (size_t k = 1; k < 8; k++) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
     }
   }
-};
+  return t;
+}
 
-const Crc32Table& Table() {
-  static const Crc32Table* table = new Crc32Table();
-  return *table;
+constexpr Crc32Tables kTables = MakeTables();
+
+/// Little-endian 32-bit load assembled from bytes (one unaligned load on
+/// little-endian targets; correct on any byte order).
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const char* data, size_t n, uint32_t init) {
-  const Crc32Table& table = Table();
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = init ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; i++) {
-    c = table.t[(c ^ static_cast<unsigned char>(data[i])) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+        kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+        kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; n--, p++) {
+    c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -317,6 +317,60 @@ inline void RecoverAndVerify(const std::string& path,
   }
 }
 
+/// Restart modes a recovery test body runs under (DatabaseOptions::
+/// instant_restart).
+enum class RestartMode { kOffline, kInstant };
+
+inline const char* RestartModeName(RestartMode m) {
+  return m == RestartMode::kInstant ? "instant" : "offline";
+}
+
+/// One restart scenario, in the shape of Zero's runRestartTest: PreCrash
+/// builds state on a fresh database (index 1, B-tree, 8 entries per node)
+/// and may leave transactions open; the harness then crashes it; after
+/// recovery has drained, PostRestart checks the reopened database.
+struct RestartScenario {
+  virtual ~RestartScenario() = default;
+  virtual void PreCrash(Database* db, Gist* gist) = 0;
+  virtual void PostRestart(Database* db, Gist* gist) = 0;
+};
+
+/// Runs \p s: create, PreCrash, SimulateCrash (buffer pool and unflushed
+/// log tail lost), then \p restarts restarts in \p mode — each one but the
+/// last drains recovery and crashes again — and PostRestart on the last.
+/// Gtest assertions fire inside, so call from a TEST body.
+inline void RunRestartTest(const std::string& path, RestartScenario* s,
+                           RestartMode mode, int restarts = 1) {
+  static BtreeExtension ext;
+  GistOptions gopts;
+  gopts.max_entries = 8;
+  DatabaseOptions opts;
+  opts.path = path;
+  opts.buffer_pool_pages = 256;
+  opts.instant_restart = mode == RestartMode::kInstant;
+  {
+    auto db_or = Database::Create(opts);
+    ASSERT_OK(db_or.status());
+    std::unique_ptr<Database> db = db_or.MoveValue();
+    ASSERT_OK(db->CreateIndex(1, &ext, gopts));
+    s->PreCrash(db.get(), db->GetIndex(1).value());
+    if (::testing::Test::HasFatalFailure()) return;
+    db->SimulateCrash();
+  }
+  for (int round = 1; round <= restarts; round++) {
+    auto db_or = Database::Open(opts);
+    ASSERT_OK(db_or.status());
+    std::unique_ptr<Database> db = db_or.MoveValue();
+    ASSERT_OK(db->WaitForRecovery());
+    if (round < restarts) {
+      db->SimulateCrash();
+      continue;
+    }
+    ASSERT_OK(db->OpenIndex(1, &ext, gopts));
+    s->PostRestart(db.get(), db->GetIndex(1).value());
+  }
+}
+
 }  // namespace crash
 }  // namespace gistcr
 

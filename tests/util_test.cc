@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -120,6 +122,64 @@ TEST(Crc32Test, DetectsBitFlip) {
   const uint32_t before = Crc32(s.data(), s.size());
   s[5] ^= 0x40;
   EXPECT_NE(before, Crc32(s.data(), s.size()));
+}
+
+// Reference: the textbook byte-at-a-time CRC-32 (reflected IEEE
+// polynomial). The production kernel must match it bit for bit, since
+// every page and log record on disk carries its values.
+constexpr size_t kCrcPageBytes = 8192;  // one data page
+
+uint32_t ReferenceCrc32(const char* data, size_t n, uint32_t init = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; i++) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t c = init ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; i++) {
+    c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Random rng(0xC0C0);
+  std::string buf(kCrcPageBytes + 16, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; n++) lengths.push_back(n);
+  lengths.push_back(kCrcPageBytes);
+  for (size_t off = 0; off < 8; off++) {
+    for (size_t n : lengths) {
+      const char* p = buf.data() + off;
+      ASSERT_EQ(Crc32(p, n), ReferenceCrc32(p, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsMatchReference) {
+  Random rng(77);
+  std::string buf(kCrcPageBytes, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Next());
+  // Split the page at every cut point class (word-aligned or not) and
+  // chain: the seed carries the running CRC across the cut.
+  for (size_t cut : {0u, 1u, 3u, 7u, 8u, 9u, 24u, 4095u, 4096u, 8191u}) {
+    const uint32_t head = Crc32(buf.data(), cut);
+    EXPECT_EQ(head, ReferenceCrc32(buf.data(), cut));
+    const uint32_t chained = Crc32(buf.data() + cut, buf.size() - cut, head);
+    EXPECT_EQ(chained, ReferenceCrc32(buf.data(), buf.size())) << cut;
+    EXPECT_EQ(chained, ReferenceCrc32(buf.data() + cut, buf.size() - cut,
+                                      ReferenceCrc32(buf.data(), cut)));
+  }
+  // Arbitrary (non-CRC) seeds too.
+  for (uint32_t seed : {0x1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+    for (size_t n : {5u, 8u, 13u, 64u}) {
+      EXPECT_EQ(Crc32(buf.data() + 3, n, seed),
+                ReferenceCrc32(buf.data() + 3, n, seed));
+    }
+  }
 }
 
 TEST(RandomTest, DeterministicForSeed) {
